@@ -20,6 +20,7 @@ from .errors import (
     FactorizationError,
     IntermediateDimensionError,
     NodeNotFoundError,
+    SimplexCheckError,
     SimplexStalledError,
     SingularMatrixError,
     SpanDeficiencyError,
@@ -71,6 +72,7 @@ __all__ = [
     "IntermediateDimensionError",
     "NodeNotFoundError",
     "PositiveBasis",
+    "SimplexCheckError",
     "SimplexStalledError",
     "SingularMatrixError",
     "SpanDeficiencyError",

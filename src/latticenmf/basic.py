@@ -86,26 +86,24 @@ def distinct_values(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> Disti
     it, and unique points are listed in first-occurrence order.
     """
     points = table.points
-    uniques: list[np.ndarray] = []
+    membership = np.empty(points.shape[0], dtype=int)
     representatives: list[int] = []
-    membership: list[int] = []
     merged_inexact = False
-    for i in range(points.shape[0]):
-        p = points[i]
-        for uid, q in enumerate(uniques):
-            diff = float(np.abs(p - q).max())
-            if diff <= tol_dedup:
-                membership.append(uid)
-                if diff > 0.0:
-                    merged_inexact = True
-                break
-        else:
-            membership.append(len(uniques))
-            uniques.append(p)
-            representatives.append(i)
+    # Each new unique claims every later, still unassigned point within
+    # the tolerance; earlier uniques claim first, so every point joins the
+    # first unique it matches, as in a scan of the columns in order.
+    unassigned = np.arange(points.shape[0])
+    while unassigned.size:
+        first, rest = unassigned[0], unassigned[1:]
+        diff = np.abs(points[rest] - points[first]).max(axis=1)
+        claimed = diff <= tol_dedup
+        membership[first] = membership[rest[claimed]] = len(representatives)
+        representatives.append(int(first))
+        merged_inexact = merged_inexact or bool((diff[claimed] > 0.0).any())
+        unassigned = rest[~claimed]
     return DistinctRange(
-        unique_points=np.array(uniques),
+        unique_points=points[representatives].copy(),
         representative_column=tuple(representatives),
-        membership=tuple(membership),
+        membership=tuple(membership.tolist()),
         merged_inexact=merged_inexact,
     )

@@ -28,6 +28,11 @@ class SimplexStalledError(FactorizationError):
     """The feasibility solver exceeded its iteration cap."""
 
 
+class SimplexCheckError(FactorizationError):
+    """A feasibility-solver answer failed its own nonnegativity or residual
+    check."""
+
+
 class ExpansionInfeasibleError(FactorizationError):
     """A point could not be expressed over the polytope vertices."""
 

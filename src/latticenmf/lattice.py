@@ -30,19 +30,17 @@ def expand_in_vertices(
     """Expand every column's point over the vertex set.
 
     Columns whose value is itself a vertex get the exact indicator row (no
-    solver involved); the remaining columns go through the feasibility
-    solver, so the returned combination is one valid choice among possibly
-    many.
+    solver involved). Every other distinct value goes through the
+    feasibility solver once, at its representative column, so the returned
+    combination is one valid choice among possibly many. A column merged
+    into that value reuses the row when it reproduces the column's own
+    point within ``tol_feas``, and gets its own solve otherwise.
     """
-    m, d = table.m, vs.d
+    d = vs.d
     vertex_of_unique = {rng.membership[src]: k for k, src in enumerate(vs.source_columns)}
     a_eq = np.vstack([vs.vertices.T, np.ones((1, d))])
-    coefficients = np.zeros((m, d))
-    for i in range(m):
-        k = vertex_of_unique.get(rng.membership[i])
-        if k is not None:
-            coefficients[i, k] = 1.0
-            continue
+
+    def expand(i: int) -> np.ndarray:
         b_eq = np.concatenate([table.points[i], [1.0]])
         result = phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
         if not result.feasible:
@@ -50,7 +48,21 @@ def expand_in_vertices(
                 f"column {i}: not a convex combination of the vertices "
                 f"(infeasibility {result.infeasibility:.3e})"
             )
-        coefficients[i] = result.x
+        return result.x
+
+    unique_rows = np.zeros((rng.mu, d))
+    for u, src in enumerate(rng.representative_column):
+        k = vertex_of_unique.get(u)
+        if k is None:
+            unique_rows[u] = expand(src)
+        else:
+            unique_rows[u, k] = 1.0
+    coefficients = unique_rows[list(rng.membership)]
+    resolve = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) > tol_feas
+    resolve[list(rng.representative_column)] = False
+    resolve[np.isin(rng.membership, list(vertex_of_unique))] = False
+    for i in np.flatnonzero(resolve):
+        coefficients[i] = expand(int(i))
     return ConvexExpansion(coefficients)
 
 

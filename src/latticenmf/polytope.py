@@ -9,7 +9,7 @@ import numpy as np
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import SpanDeficiencyError
 from .linalg import greedy_independent_rows
-from .simplex import is_extreme_point
+from .simplex import convex_combination
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,13 +26,39 @@ class VertexSet:
 
 
 def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
-    """Extreme points of the unique values, kept in discovery order."""
+    """Extreme points of the unique values, in first-occurrence order.
+
+    Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996):
+    each unique point is tested against the hull of the vertices confirmed
+    so far, not against all other points. A feasible test makes the point
+    interior. An infeasible one yields a separating direction ``w`` (the
+    phase-one dual); the not-yet-confirmed point maximizing ``w``, ties
+    broken to the lexicographic maximum, is extreme and joins the confirmed
+    set, and the point is tested again. Each test has as many columns as
+    there are confirmed vertices, and there is one failed test per vertex.
+    """
     points = rng.unique_points
-    keep = [
-        i
-        for i in range(points.shape[0])
-        if is_extreme_point(points[i], np.delete(points, i, axis=0), tol_feas)
-    ]
+    mu = points.shape[0]
+    tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
+    confirmed = np.zeros(mu, dtype=bool)
+
+    def extreme_along(w) -> int:
+        scores = points @ w
+        scores[confirmed] = -np.inf
+        # Score gaps grow with w, so the tie band does too.
+        tied = np.flatnonzero(scores >= scores.max() - tie_tol * float(np.abs(w).max()))
+        # The lexicographic maximum of the near-maximizers is a vertex of
+        # the face they span.
+        return int(tied[np.lexsort(points[tied].T[::-1])[-1]])
+
+    confirmed[extreme_along(points[0] - points.mean(axis=0))] = True
+    for i in range(mu):
+        while not confirmed[i]:
+            test = convex_combination(points[i], points[confirmed], tol_feas)
+            if test.feasible:
+                break
+            confirmed[extreme_along(test.dual[:-1])] = True
+    keep = np.flatnonzero(confirmed)
     return VertexSet(
         vertices=points[keep].copy(),
         source_columns=tuple(rng.representative_column[i] for i in keep),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SimplexStalledError
+from .errors import SimplexCheckError, SimplexStalledError
 from .linalg import as_matrix
 
 
@@ -26,9 +26,18 @@ class FeasibilityProblem:
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityResult:
+    """Outcome of phase one.
+
+    ``dual`` holds the final phase-one row prices ``y``, one per equation.
+    They satisfy ``y @ a_eq <= 0`` (up to the pivot tolerance) and
+    ``y @ b_eq == infeasibility``, so when the system is infeasible ``y``
+    certifies it: no ``x >= 0`` can reach a positive ``y @ b_eq``.
+    """
+
     x: np.ndarray | None
     infeasibility: float
     iterations: int
+    dual: np.ndarray
 
     @property
     def feasible(self) -> bool:
@@ -61,7 +70,7 @@ def phase_one_feasible(
     tableau[:, :q] = a * sign[:, None]
     tableau[:, q : q + k] = np.eye(k)
     tableau[:, -1] = b * sign
-    basis = list(range(q, q + k))
+    basis = np.arange(q, q + k)
     cost = np.zeros(q + k)
     cost[q:] = 1.0
 
@@ -71,46 +80,70 @@ def phase_one_feasible(
 
     iterations = 0
     while True:
-        y = cost[basis] @ tableau[:, : q + k]
-        reduced = cost - y
-        entering = -1
-        for j in range(q + k):
-            if reduced[j] < -pivot_tol:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost - cost[basis] @ tableau[:, : q + k]
+        improving = (reduced < -pivot_tol).nonzero()[0]
+        if improving.size == 0:
             break
+        entering = int(improving[0])  # Bland: smallest improving index
         column = tableau[:, entering]
-        rows = np.flatnonzero(column > pivot_tol)
+        rows = (column > pivot_tol).nonzero()[0]
         if rows.size == 0:
             raise SimplexStalledError("simplex stalled: no admissible pivot row")
         ratios = tableau[rows, -1] / column[rows]
         best = float(ratios.min())
         candidates = rows[ratios <= best + pivot_tol]
-        leaving = int(min(candidates, key=lambda i: basis[i]))
+        leaving = int(candidates[basis[candidates].argmin()])
         tableau[leaving] /= tableau[leaving, entering]
-        for i in range(k):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
+        # Eliminate the entering column from the rows that have it, all at once.
+        touched = (column != 0.0).nonzero()[0]
+        touched = touched[touched != leaving]
+        tableau[touched] -= column[touched, None] * tableau[leaving]
         basis[leaving] = entering
         iterations += 1
         if iterations > max_iterations:
             raise SimplexStalledError(f"simplex stalled after {iterations} iterations")
 
+    # Phase-one duals of the sign-flipped rows, mapped back to the rows as given.
+    dual = (cost[basis] @ tableau[:, q : q + k]) * sign
     objective = float(cost[basis] @ tableau[:, -1])
     b_scale = float(np.abs(b).max()) if b.size else 0.0
     if objective > tol_feas * (1.0 + b_scale):
-        return FeasibilityResult(None, objective, iterations)
+        return FeasibilityResult(None, objective, iterations, dual)
     x = np.zeros(q)
-    for i, var in enumerate(basis):
-        if var < q:
-            x[var] = tableau[i, -1]
-    # Post-hoc soundness check, stripped under python -O.
-    assert x.min() >= -tol_feas * (1.0 + b_scale)
-    assert np.abs(a @ x - b).max() <= max(tol_feas, 1e-7) * (1.0 + b_scale) * (
-        1.0 + (float(np.abs(a).max()) if a.size else 0.0)
-    )
-    return FeasibilityResult(x, objective, iterations)
+    structural = basis < q
+    x[basis[structural]] = tableau[structural, -1]
+    _check_solution(a, b, x, tol_feas)
+    return FeasibilityResult(x, objective, iterations, dual)
+
+
+def _check_solution(a, b, x, tol_feas: float) -> None:
+    """Raise SimplexCheckError unless ``x`` is nonnegative and solves
+    ``a @ x == b`` within the solver's own bounds. A real check rather than
+    an assert, so it also runs under ``python -O``."""
+    b_scale = float(np.abs(b).max(initial=0.0))
+    lowest = float(x.min(initial=0.0))
+    if lowest < -tol_feas * (1.0 + b_scale):
+        raise SimplexCheckError(f"simplex returned a negative entry {lowest:.3e}")
+    residual = float(np.abs(a @ x - b).max(initial=0.0))
+    if residual > max(tol_feas, 1e-7) * (1.0 + b_scale) * (1.0 + np.abs(a).max(initial=0.0)):
+        raise SimplexCheckError(f"simplex solution misses the equations by {residual:.3e}")
+
+
+def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
+    """Phase one for writing ``point`` as a convex combination of the rows
+    of ``pts``: weights ``x >= 0`` with ``x @ pts == point`` and unit total.
+
+    The dual of an infeasible result is ``(w, c)`` with ``w @ point + c > 0``
+    and ``w @ q + c <= 0`` (up to the pivot tolerance) for every row ``q``
+    of ``pts``, i.e. ``w`` separates ``point`` from their hull.
+    """
+    point = np.asarray(point, dtype=float).ravel()
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if pts.shape[1] != point.shape[0]:
+        raise ValueError("dimension mismatch between point and pts")
+    a_eq = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
+    b_eq = np.concatenate([point, [1.0]])
+    return phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
 
 
 def is_extreme_point(p, others, tol_feas: float = 1e-9) -> bool:
@@ -120,13 +153,6 @@ def is_extreme_point(p, others, tol_feas: float = 1e-9) -> bool:
     combination of ``others``; infeasible means extreme. ``p`` must not
     itself appear among ``others`` (deduplicate upstream).
     """
-    p = np.asarray(p, dtype=float).ravel()
-    pts = np.asarray(others, dtype=float)
-    if pts.size == 0:
+    if np.asarray(others).size == 0:
         return True
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != p.shape[0]:
-        raise ValueError("dimension mismatch between p and others")
-    a_eq = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
-    b_eq = np.concatenate([p, [1.0]])
-    return not phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas).feasible
+    return not convex_combination(p, others, tol_feas).feasible

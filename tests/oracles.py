@@ -82,6 +82,29 @@ def brute_force_vertices(points, tol: float = 1e-9) -> list[int]:
     ]
 
 
+def distinct_values_loop(points, tol_dedup: float = 1e-9):
+    """The column-by-column dedup scan: each point joins the first earlier
+    unique within ``tol_dedup`` in max-norm, or becomes a new unique.
+
+    Returns ``(unique_points, representatives, membership, merged_inexact)``.
+    """
+    uniques, representatives, membership = [], [], []
+    merged_inexact = False
+    for i, p in enumerate(np.asarray(points, dtype=float)):
+        for uid, q in enumerate(uniques):
+            diff = float(np.abs(p - q).max())
+            if diff <= tol_dedup:
+                membership.append(uid)
+                if diff > 0.0:
+                    merged_inexact = True
+                break
+        else:
+            membership.append(len(uniques))
+            uniques.append(p)
+            representatives.append(i)
+    return np.array(uniques), tuple(representatives), tuple(membership), merged_inexact
+
+
 def match_rows_up_to_scale(got, expected, tol: float = 1e-9):
     """Permutation sigma with got[k] == c_k * expected[sigma(k)], c_k > 0.
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latticenmf import (
+    BasicFunctionTable,
     ZeroColumnError,
     basic_function,
     distinct_values,
@@ -13,6 +14,7 @@ from latticenmf import (
 )
 
 from data import MINLAT_6X6, NRF_5X4, SUBLAT_8X10
+from oracles import distinct_values_loop
 
 
 def test_select_basic_set_keeps_scan_order():
@@ -110,3 +112,29 @@ def test_mu_invariant_under_column_permutation():
     for _ in range(10):
         perm = rng_state.permutation(8)
         assert distinct_values(basic_function(x[:, perm])).mu == base
+
+
+def test_distinct_values_matches_the_column_scan_on_near_duplicate_chains():
+    # Chains stepping 0.6 * tol: a point merges with its predecessor's unique
+    # only when that unique is within tol, so which points represent a chain
+    # depends on the scan order, and first-wins must be kept exactly.
+    tol = 1e-9
+    state = np.random.default_rng(19)
+    for trial in range(40):
+        r = int(state.integers(2, 6))
+        chains = []
+        for _ in range(int(state.integers(1, 5))):
+            start = state.dirichlet(np.ones(r))
+            step = np.zeros(r)
+            step[int(state.integers(0, r))] = 0.6 * tol
+            chains.append(start + np.arange(int(state.integers(2, 9)))[:, None] * step)
+        points = np.vstack(chains)
+        if trial % 2:
+            points = points[state.permutation(len(points))]
+        table = BasicFunctionTable(points=points, sums=np.ones(len(points)))
+        got = distinct_values(table, tol_dedup=tol)
+        uniques, representatives, membership, merged_inexact = distinct_values_loop(points, tol)
+        assert np.array_equal(got.unique_points, uniques)
+        assert got.representative_column == representatives
+        assert got.membership == membership
+        assert got.merged_inexact == merged_inexact

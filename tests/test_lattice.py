@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import latticenmf.lattice
 from latticenmf import (
     ConvexExpansion,
     NodeNotFoundError,
@@ -95,6 +96,55 @@ class TestExpandInVertices:
         for i in range(table.m):
             assert coeff[i].sum() == 1.0
             assert set(coeff[i]) <= {0.0, 1.0}
+
+
+class TestExpansionPerDistinctValue:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        solver = latticenmf.lattice.phase_one_feasible
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.lattice, "phase_one_feasible", counted)
+        return calls
+
+    def test_one_solve_per_distinct_interior_value(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        state = np.random.default_rng(127)
+        for _ in range(10):
+            base = state.uniform(0.1, 3.0, size=(3, 9))
+            pattern = state.integers(0, 9, size=40)
+            x = base[:, pattern] * state.uniform(0.5, 50.0, size=40)
+            table, rng, vs = _pipeline_pieces(x, rows=[0, 1, 2])
+            calls.clear()
+            coeff = expand_in_vertices(table, vs, rng).coefficients
+            assert len(calls) <= rng.mu - vs.d
+            for uid in range(rng.mu):
+                rows = coeff[np.asarray(rng.membership) == uid]
+                assert (rows == rows[0]).all()
+            assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
+
+    def test_member_not_reproduced_by_the_shared_row_gets_its_own_solve(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        # A coarse dedup tolerance merges the last column into the interior
+        # value of column 3; the shared row misses it, so it is solved again.
+        x = np.array(
+            [
+                [1.0, 0.0, 0.0, 1.0, 1.0001],
+                [0.0, 1.0, 0.0, 1.0, 1.0],
+                [0.0, 0.0, 1.0, 1.0, 1.0],
+            ]
+        )
+        table = basic_function(x)
+        rng = distinct_values(table, tol_dedup=1e-3)
+        vs = reorder_vertices(hull_vertices(rng))
+        assert rng.membership == (0, 1, 2, 3, 3)
+        coeff = expand_in_vertices(table, vs, rng).coefficients
+        assert len(calls) == 2
+        assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
 
 class TestSynthesizeVectors:

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from latticenmf import (
     basic_function,
     distinct_values,
     hull_vertices,
+    is_extreme_point,
     phase_one_feasible,
     rank_of,
     reorder_vertices,
@@ -80,6 +83,92 @@ class TestHullVertices:
             perm = state.permutation(8)
             vs = hull_vertices(distinct_values(basic_function(x[:, perm])))
             assert {tuple(np.round(v, 12)) for v in vs.vertices} == base_set
+
+
+def _per_point_route(rng):
+    """Unique indices that are extreme against all other unique points."""
+    points = rng.unique_points
+    return [
+        i
+        for i in range(rng.mu)
+        if is_extreme_point(points[i], np.delete(points, i, axis=0))
+    ]
+
+
+def _both_routes(points, state):
+    """Vertex indices of ``points`` (rows on the simplex, each carried by a
+    column with a random scale) by the per-point route and by the hull pass."""
+    scales = state.uniform(0.5, 20.0, size=len(points))
+    rng = distinct_values(basic_function((points * scales[:, None]).T))
+    got = [rng.representative_column.index(src) for src in hull_vertices(rng).source_columns]
+    return _per_point_route(rng), got
+
+
+def _on_circle(state, r, count):
+    """``count`` evenly spaced points, at a random phase, on a circle around
+    the barycentre in a random plane of the simplex, then the barycentre."""
+    plane = state.standard_normal((r, 2))
+    plane -= plane.mean(axis=0)
+    q, _ = np.linalg.qr(plane)
+    angles = state.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(count) / count
+    radius = 0.8 / np.sqrt(r * (r - 1))
+    circle = 1.0 / r + radius * (
+        np.cos(angles)[:, None] * q[:, 0]
+        + np.sin(angles)[:, None] * q[:, 1]
+    )
+    return np.vstack([circle, np.full(r, 1.0 / r)])
+
+
+class TestHullPassMatchesPerPointRoute:
+    def test_dirichlet_sets(self):
+        state = np.random.default_rng(101)
+        for r in range(3, 7):
+            for _ in range(6):
+                points = state.dirichlet(np.ones(r), size=int(state.integers(r, 30)))
+                expected, got = _both_routes(points, state)
+                assert got == expected
+
+    def test_triangular_grids_with_collinear_boundary_points(self):
+        state = np.random.default_rng(103)
+        for r, n in [(3, 2), (3, 4), (3, 7), (4, 3), (5, 2)]:
+            grid = np.array([c for c in product(range(n + 1), repeat=r) if sum(c) == n]) / n
+            for _ in range(2):
+                expected, got = _both_routes(grid[state.permutation(len(grid))], state)
+                assert got == expected
+                assert len(got) == r
+
+    def test_cocircular_points_with_their_centre(self):
+        state = np.random.default_rng(107)
+        for r in range(3, 7):
+            for count in (3, 5, 9):
+                points = _on_circle(state, r, count)
+                expected, got = _both_routes(points[state.permutation(len(points))], state)
+                assert got == expected
+                assert len(got) == count
+
+    def test_edge_midpoints(self):
+        state = np.random.default_rng(109)
+        for r in range(3, 7):
+            for d in (3, 5, 7):
+                corners = state.dirichlet(np.ones(r), size=d)
+                mids = [(corners[i] + corners[j]) / 2 for i, j in combinations(range(d), 2)]
+                points = np.vstack([corners, mids])
+                expected, got = _both_routes(points[state.permutation(len(points))], state)
+                assert got == expected
+
+    def test_first_point_next_to_the_centroid(self):
+        # The first separating direction is then tiny; ties must be judged
+        # relative to its length, or near-maximal interior points pass as
+        # vertices.
+        state = np.random.default_rng(113)
+        for _ in range(40):
+            r = int(state.integers(3, 6))
+            points = state.dirichlet(np.ones(r), size=int(state.integers(5, 20)))
+            offset = state.standard_normal(r)
+            offset -= offset.mean()
+            first = points.mean(axis=0) + 3e-9 * offset / np.abs(offset).max()
+            expected, got = _both_routes(np.vstack([first, points]), state)
+            assert got == expected
 
 
 class TestSegmentVertices:

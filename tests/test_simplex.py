@@ -5,13 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from latticenmf import (
+    FactorizationError,
     FeasibilityProblem,
+    SimplexCheckError,
     basic_function,
     distinct_values,
     hull_vertices,
     is_extreme_point,
     phase_one_feasible,
+    simplex,
 )
+from latticenmf.simplex import convex_combination
 
 from data import MINLAT_6X6, MINLAT_6X6_VERTEX_ORDER
 from oracles import hull_contains
@@ -88,6 +92,38 @@ class TestPhaseOne:
             result = phase_one_feasible(FeasibilityProblem(a, a @ x0))
             assert result.iterations < 2000
 
+    def test_infeasible_dual_certifies_infeasibility(self):
+        state = np.random.default_rng(83)
+        cases = [
+            (state.uniform(0.0, 2.0, size=(3, 5)), np.array([1.0, -0.5, 1.0]))
+            for _ in range(15)
+        ]
+        for _ in range(15):
+            pts = state.dirichlet(np.ones(4), size=6)
+            outside = pts[0] + 0.3 * (pts[0] - pts.mean(axis=0))
+            cases.append((np.vstack([pts.T, np.ones(6)]), np.append(outside, 1.0)))
+        for a, b in cases:
+            result = phase_one_feasible(FeasibilityProblem(a, b))
+            if result.feasible:
+                continue
+            y = result.dual
+            assert y.shape == b.shape
+            assert (y @ a).max() <= 1e-9
+            assert abs(y @ b - result.infeasibility) <= 1e-9 * (1.0 + result.infeasibility)
+            assert y @ b > 0.1 * result.infeasibility
+
+    def test_check_solution_rejects_a_negative_entry(self):
+        a, b = np.eye(2), np.array([1.0, 0.0])
+        simplex._check_solution(a, b, np.array([1.0, 0.0]), 1e-9)
+        with pytest.raises(SimplexCheckError, match="negative"):
+            simplex._check_solution(a, b, np.array([1.0, -1e-3]), 1e-9)
+
+    def test_check_solution_rejects_a_large_residual(self):
+        a, b = np.eye(2), np.array([1.0, 0.0])
+        with pytest.raises(SimplexCheckError, match="misses") as raised:
+            simplex._check_solution(a, b, np.array([1.0, 1e-3]), 1e-9)
+        assert isinstance(raised.value, FactorizationError)
+
 
 class TestIsExtremePoint:
     def test_worked_6x6_vertex_and_interior(self):
@@ -116,6 +152,20 @@ class TestIsExtremePoint:
                 assert is_extreme_point(pts[i], others) == (
                     not hull_contains(pts[i], others)
                 )
+
+
+def test_convex_combination_dual_separates_the_point():
+    state = np.random.default_rng(89)
+    for _ in range(30):
+        r = int(state.integers(3, 7))
+        pts = state.dirichlet(np.ones(r), size=int(state.integers(2, 10)))
+        point = state.dirichlet(np.ones(r))
+        result = convex_combination(point, pts)
+        if result.feasible:
+            assert np.abs(result.x @ pts - point).max() <= 1e-8
+            continue
+        w = result.dual[:-1]
+        assert (pts @ w).max() < point @ w
 
 
 def test_hull_route_matches_brute_force_vertices():
