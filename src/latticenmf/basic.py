@@ -102,7 +102,7 @@ def distinct_values(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> Disti
         merged_inexact = merged_inexact or bool((diff[claimed] > 0.0).any())
         unassigned = rest[~claimed]
     return DistinctRange(
-        unique_points=points[representatives].copy(),
+        unique_points=points[representatives],
         representative_column=tuple(representatives),
         membership=tuple(membership.tolist()),
         merged_inexact=merged_inexact,

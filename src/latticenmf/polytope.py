@@ -9,7 +9,7 @@ import numpy as np
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import SpanDeficiencyError
 from .linalg import greedy_independent_rows
-from .simplex import convex_combination
+from .simplex import convex_combination, is_extreme_point
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,10 +32,15 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     each unique point is tested against the hull of the vertices confirmed
     so far, not against all other points. A feasible test makes the point
     interior. An infeasible one yields a separating direction ``w`` (the
-    phase-one dual); the not-yet-confirmed point maximizing ``w``, ties
-    broken to the lexicographic maximum, is extreme and joins the confirmed
-    set, and the point is tested again. Each test has as many columns as
-    there are confirmed vertices, and there is one failed test per vertex.
+    phase-one dual); the not-yet-confirmed point maximizing ``w``, near-ties
+    broken to the lexicographic maximum, joins the confirmed set, and the
+    point is tested again. Each test has as many columns as there are
+    confirmed points, and there is one failed test per confirmed point.
+
+    A near-tie can confirm a point that is not extreme (one just inside a
+    vertex on an edge leaving the maximal face). By the end every point lies
+    in the hull of the confirmed ones, so a last pass keeps exactly the
+    confirmed points outside the hull of the other confirmed points.
     """
     points = rng.unique_points
     mu = points.shape[0]
@@ -47,8 +52,8 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         scores[confirmed] = -np.inf
         # Score gaps grow with w, so the tie band does too.
         tied = np.flatnonzero(scores >= scores.max() - tie_tol * float(np.abs(w).max()))
-        # The lexicographic maximum of the near-maximizers is a vertex of
-        # the face they span.
+        # The lexicographic maximum of exact maximizers is a vertex of the
+        # face they span; within the band it nearly always is.
         return int(tied[np.lexsort(points[tied].T[::-1])[-1]])
 
     confirmed[extreme_along(points[0] - points.mean(axis=0))] = True
@@ -59,8 +64,9 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
                 break
             confirmed[extreme_along(test.dual[:-1])] = True
     keep = np.flatnonzero(confirmed)
+    keep = keep[[is_extreme_point(points[j], points[keep[keep != j]], tol_feas) for j in keep]]
     return VertexSet(
-        vertices=points[keep].copy(),
+        vertices=points[keep],
         source_columns=tuple(rng.representative_column[i] for i in keep),
         r=points.shape[1],
     )

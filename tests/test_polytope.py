@@ -157,9 +157,9 @@ class TestHullPassMatchesPerPointRoute:
                 assert got == expected
 
     def test_first_point_next_to_the_centroid(self):
-        # The first separating direction is then tiny; ties must be judged
-        # relative to its length, or near-maximal interior points pass as
-        # vertices.
+        # The first separating direction is then tiny, so ties are judged
+        # relative to its length; near-maximal interior points it confirms
+        # must still be dropped.
         state = np.random.default_rng(113)
         for _ in range(40):
             r = int(state.integers(3, 6))
@@ -169,6 +169,35 @@ class TestHullPassMatchesPerPointRoute:
             first = points.mean(axis=0) + 3e-9 * offset / np.abs(offset).max()
             expected, got = _both_routes(np.vstack([first, points]), state)
             assert got == expected
+
+    def test_point_just_inside_a_vertex_on_an_edge(self):
+        # p sits 7e-9 from A' on the edge A'C, above the dedup tolerance.
+        # Testing A against {C} gives a direction that scores A, A' and p
+        # within the tie band, and p has the largest first coordinate.
+        c, a, a2 = np.array([[0.9, 0.05, 0.05], [0.2, 0.8, 0.0], [0.6, 0.4, 0.0]])
+        p = (1 - 2e-8) * a2 + 2e-8 * c
+        expected, got = _both_routes(np.vstack([c, a, a2, p]), np.random.default_rng(127))
+        assert expected == [0, 1, 2]
+        assert got == expected
+
+    def test_points_just_inside_vertices_on_edges(self):
+        # One point 1e-8..1e-7 of the way along an edge from a corner. When
+        # that is within a few tolerances of the corner, the per-point route
+        # can lose the vertex to its near copy, so the check is that each of
+        # its vertices is kept and the count equals that of the corners.
+        state = np.random.default_rng(131)
+        for _ in range(60):
+            r = int(state.integers(3, 6))
+            corners = state.dirichlet(np.ones(r), size=int(state.integers(r, 8)))
+            i, j = state.choice(len(corners), 2, replace=False)
+            near = corners[i] + state.uniform(1e-8, 1e-7) * (corners[j] - corners[i])
+            points = np.vstack([corners, near])
+            expected, got = _both_routes(points[state.permutation(len(points))], state)
+            corner_count = sum(
+                is_extreme_point(c, np.delete(corners, k, axis=0)) for k, c in enumerate(corners)
+            )
+            assert set(expected) <= set(got)
+            assert len(got) == corner_count
 
 
 class TestSegmentVertices:

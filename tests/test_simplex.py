@@ -93,24 +93,33 @@ class TestPhaseOne:
             assert result.iterations < 2000
 
     def test_infeasible_dual_certifies_infeasibility(self):
-        state = np.random.default_rng(83)
-        cases = [
-            (state.uniform(0.0, 2.0, size=(3, 5)), np.array([1.0, -0.5, 1.0]))
-            for _ in range(15)
-        ]
-        for _ in range(15):
-            pts = state.dirichlet(np.ones(4), size=6)
-            outside = pts[0] + 0.3 * (pts[0] - pts.mean(axis=0))
-            cases.append((np.vstack([pts.T, np.ones(6)]), np.append(outside, 1.0)))
-        for a, b in cases:
-            result = phase_one_feasible(FeasibilityProblem(a, b))
-            if result.feasible:
-                continue
+        def check_certificate(a, b, result):
             y = result.dual
             assert y.shape == b.shape
             assert (y @ a).max() <= 1e-9
             assert abs(y @ b - result.infeasibility) <= 1e-9 * (1.0 + result.infeasibility)
             assert y @ b > 0.1 * result.infeasibility
+
+        state = np.random.default_rng(83)
+        for _ in range(15):
+            a, b = state.uniform(0.0, 2.0, size=(3, 5)), np.array([1.0, -0.5, 1.0])
+            result = phase_one_feasible(FeasibilityProblem(a, b))
+            if not result.feasible:
+                check_certificate(a, b, result)
+        # Point-in-hull systems, half with a point pushed out of the hull.
+        for case in range(30):
+            r = int(state.integers(3, 7))
+            pts = state.dirichlet(np.ones(r), size=int(state.integers(2, 10)))
+            point = state.dirichlet(np.ones(r))
+            if case % 2:
+                point = pts[0] + 0.3 * (pts[0] - pts.mean(axis=0))
+            result = convex_combination(point, pts)
+            if result.feasible:
+                assert np.abs(result.x @ pts - point).max() <= 1e-8
+                continue
+            check_certificate(np.vstack([pts.T, np.ones(len(pts))]), np.append(point, 1.0), result)
+            w = result.dual[:-1]
+            assert (pts @ w).max() < point @ w
 
     def test_check_solution_rejects_a_negative_entry(self):
         a, b = np.eye(2), np.array([1.0, 0.0])
@@ -152,20 +161,6 @@ class TestIsExtremePoint:
                 assert is_extreme_point(pts[i], others) == (
                     not hull_contains(pts[i], others)
                 )
-
-
-def test_convex_combination_dual_separates_the_point():
-    state = np.random.default_rng(89)
-    for _ in range(30):
-        r = int(state.integers(3, 7))
-        pts = state.dirichlet(np.ones(r), size=int(state.integers(2, 10)))
-        point = state.dirichlet(np.ones(r))
-        result = convex_combination(point, pts)
-        if result.feasible:
-            assert np.abs(result.x @ pts - point).max() <= 1e-8
-            continue
-        w = result.dual[:-1]
-        assert (pts @ w).max() < point @ w
 
 
 def test_hull_route_matches_brute_force_vertices():
