@@ -19,6 +19,7 @@ from .errors import (
     ExpansionInfeasibleError,
     FactorizationError,
     IntermediateDimensionError,
+    InvalidEntryError,
     NodeNotFoundError,
     SimplexCheckError,
     SimplexStalledError,
@@ -70,6 +71,7 @@ __all__ = [
     "FeasibilityProblem",
     "FeasibilityResult",
     "IntermediateDimensionError",
+    "InvalidEntryError",
     "NodeNotFoundError",
     "PositiveBasis",
     "SimplexCheckError",

@@ -13,15 +13,12 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .errors import FactorizationError, IntermediateDimensionError
+from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
 from .factorize import Classification, Factorization, factorize
 from .linalg import Tolerances
 from .matio import (
     CSV_FORMAT,
     MM_FORMAT,
-    MatrixParseError,
     detect_format,
     read_matrix,
     write_matrix,
@@ -39,7 +36,7 @@ _TOL_FLAGS = {
     "tol_rank": ("rank", "pivot threshold for rank decisions (default 1e-9)"),
     "tol_node": ("node", "zero threshold for node detection (default 1e-6)"),
     "tol_dedup": ("dedup", "equality threshold for merging column shares (default 1e-9)"),
-    "tol_feas": ("feas", "feasibility threshold for the expansion solver (default 1e-9)"),
+    "tol_feas": ("feas", "feasibility threshold for the hull and expansion solves (default 1e-9)"),
     "tol_recon": ("recon", "reconstruction residual bound (default 1e-8)"),
 }
 
@@ -140,35 +137,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         fmt = args.format or detect_format(path)
         a = read_matrix(path, fmt)
-    except MatrixParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        result = factorize(a, _tolerances_from(args), strict=args.strict)
     except OSError as err:
         print(f"error: cannot read {path}: {err}", file=sys.stderr)
         return 1
-
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        i, j = bad[0]
-        print(f"error: non-finite entry at row {i + 1}, column {j + 1}", file=sys.stderr)
-        return 1
-    bad = np.argwhere(a < 0.0)
-    if bad.size:
-        i, j = bad[0]
-        print(
-            f"error: negative entry {a[i, j]:g} at row {i + 1}, column {j + 1}",
-            file=sys.stderr,
-        )
-        return 1
-
-    try:
-        tolerances = _tolerances_from(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-    try:
-        result = factorize(a, tolerances, strict=args.strict)
     except IntermediateDimensionError as err:
         print(f"aborted: {err}", file=sys.stderr)
         return 3
@@ -176,7 +148,10 @@ def run(argv: list[str] | None = None) -> int:
         stage = f" [{err.stage}]" if err.stage else ""
         print(f"numerical failure{stage}: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
+    except InvalidEntryError as err:
+        print(f"error: {err.entry} at row {err.row + 1}, column {err.column + 1}", file=sys.stderr)
+        return 1
+    except ValueError as err:  # parse errors and bad tolerances
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,15 @@
 """Exception types raised by the factorization pipeline."""
 
 
+class InvalidEntryError(ValueError):
+    """A non-finite input entry, or a negative one where the matrix must be
+    nonnegative, at 0-based ``(row, column)``; ``entry`` says which."""
+
+    def __init__(self, message: str, entry: str, row: int, column: int):
+        super().__init__(message)
+        self.entry, self.row, self.column = entry, row, column
+
+
 class FactorizationError(Exception):
     """Base class for numerical failures during factorization.
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic import basic_function, distinct_values, select_basic_set
-from .errors import FactorizationError, IntermediateDimensionError, ZeroMatrixError
+from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
+from .errors import ZeroMatrixError
 from .lattice import (
     PositiveBasis,
     basis_matrix,
@@ -138,7 +139,8 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
     the factors are built. When ``p >= min(n, m)`` the run records a
     warning, or raises IntermediateDimensionError if ``strict`` is set.
 
-    Raises ValueError for invalid input (negative, non-finite, empty) and
+    Raises ValueError for invalid input (negative, non-finite, empty; an
+    InvalidEntryError with the position for a bad entry) and
     FactorizationError subtypes for numerical failures, tagged with the
     stage that failed.
     """
@@ -147,8 +149,9 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
     if a1.size == 0:
         raise ValueError("A must be nonempty")
     if a1.min() < 0.0:
-        i, j = np.unravel_index(int(np.argmin(a1)), a1.shape)
-        raise ValueError(f"A must be nonnegative; A[{i}, {j}] = {a1[i, j]!r}")
+        i, j = map(int, np.unravel_index(int(np.argmin(a1)), a1.shape))
+        message = f"A must be nonnegative; A[{i}, {j}] = {a1[i, j]}"
+        raise InvalidEntryError(message, f"negative entry {a1[i, j]:g}", i, j)
 
     n, m_original = a1.shape
     warnings: list[str] = []

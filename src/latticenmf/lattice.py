@@ -29,18 +29,24 @@ def expand_in_vertices(
 ) -> ConvexExpansion:
     """Expand every column's point over the vertex set.
 
-    Columns whose value is itself a vertex get the exact indicator row (no
-    solver involved). Every other distinct value goes through the
-    feasibility solver once, at its representative column, so the returned
-    combination is one valid choice among possibly many. A column merged
-    into that value reuses the row when it reproduces the column's own
-    point within ``tol_feas``, and gets its own solve otherwise.
+    Columns whose value is itself a vertex get the exact indicator row.
+    Every other column takes its value's row of ``vs.unique_coefficients``
+    (the hull pass's weights), or, when that row is missing or misses the
+    column's own point by more than ``tol_feas``, a feasibility solve over
+    the vertices: one valid combination among possibly many.
     """
     d = vs.d
-    vertex_of_unique = {rng.membership[src]: k for k, src in enumerate(vs.source_columns)}
     a_eq = np.vstack([vs.vertices.T, np.ones((1, d))])
-
-    def expand(i: int) -> np.ndarray:
+    membership = np.asarray(rng.membership)
+    vertex_values = membership[list(vs.source_columns)]
+    unique_rows = np.full((rng.mu, d), np.nan)
+    if vs.unique_coefficients is not None:
+        unique_rows[:] = vs.unique_coefficients
+    unique_rows[vertex_values] = np.eye(d)
+    coefficients = unique_rows[membership]
+    # NaN rows (missing) fail the comparison too.
+    reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
+    for i in np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values)):
         b_eq = np.concatenate([table.points[i], [1.0]])
         result = phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
         if not result.feasible:
@@ -48,21 +54,7 @@ def expand_in_vertices(
                 f"column {i}: not a convex combination of the vertices "
                 f"(infeasibility {result.infeasibility:.3e})"
             )
-        return result.x
-
-    unique_rows = np.zeros((rng.mu, d))
-    for u, src in enumerate(rng.representative_column):
-        k = vertex_of_unique.get(u)
-        if k is None:
-            unique_rows[u] = expand(src)
-        else:
-            unique_rows[u, k] = 1.0
-    coefficients = unique_rows[list(rng.membership)]
-    resolve = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) > tol_feas
-    resolve[list(rng.representative_column)] = False
-    resolve[np.isin(rng.membership, list(vertex_of_unique))] = False
-    for i in np.flatnonzero(resolve):
-        coefficients[i] = expand(int(i))
+        coefficients[i] = result.x
     return ConvexExpansion(coefficients)
 
 
@@ -124,14 +116,9 @@ def find_nodes(basis, tol_node: float = 1e-6) -> tuple[int, ...]:
     d = b.shape[0]
     positive = b > tol_node
     small = np.abs(b) <= tol_node
-    nodes = []
-    for k in range(d):
-        candidate = positive[k].copy()
-        for j in range(d):
-            if j != k:
-                candidate &= small[j]
-        found = np.flatnonzero(candidate)
-        if found.size == 0:
-            raise NodeNotFoundError(f"no node column for basis vector {k}")
-        nodes.append(int(found[0]))
-    return tuple(nodes)
+    # Vector k is positive at column i and the other d - 1 vectors are small there.
+    candidate = positive & (small.sum(axis=0) - small == d - 1)
+    found = candidate.any(axis=1)
+    if not found.all():
+        raise NodeNotFoundError(f"no node column for basis vector {int(np.argmin(found))}")
+    return tuple(int(i) for i in candidate.argmax(axis=1))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError, ZeroMatrixError
+from .errors import InvalidEntryError, SingularMatrixError, ZeroMatrixError
 
 _TOLERANCE_FIELDS = ("rank", "node", "dedup", "feas", "recon")
 
@@ -46,7 +46,9 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
+        i, j = map(int, np.argwhere(~np.isfinite(a))[0])
+        message = f"{name} contains NaN or infinite entries; {name}[{i}, {j}] = {a[i, j]}"
+        raise InvalidEntryError(message, "non-finite entry", i, j)
     return a
 
 

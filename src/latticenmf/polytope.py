@@ -19,6 +19,8 @@ class VertexSet:
     vertices: np.ndarray  # d x r, one vertex per row
     source_columns: tuple[int, ...]
     r: int
+    # mu x d convex weights of the unique points over the vertices (NaN: none)
+    unique_coefficients: np.ndarray | None = None
 
     @property
     def d(self) -> int:
@@ -41,9 +43,15 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     vertex on an edge leaving the maximal face). By the end every point lies
     in the hull of the confirmed ones, so a last pass keeps exactly the
     confirmed points outside the hull of the other confirmed points.
+
+    An interior point's feasible test gives its convex weights over the
+    points confirmed by then: ``unique_coefficients``, with NaN rows where
+    they lean on a point the last pass drops (its own row included).
     """
     points = rng.unique_points
     mu = points.shape[0]
+    if mu == 0:
+        raise ValueError("hull_vertices needs at least one point; the distinct range is empty")
     tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
     confirmed = np.zeros(mu, dtype=bool)
 
@@ -56,19 +64,30 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         # face they span; within the band it nearly always is.
         return int(tied[np.lexsort(points[tied].T[::-1])[-1]])
 
+    interior = []  # (unique index, points confirmed at its test, its weights on them)
     confirmed[extreme_along(points[0] - points.mean(axis=0))] = True
     for i in range(mu):
         while not confirmed[i]:
-            test = convex_combination(points[i], points[confirmed], tol_feas)
+            over = np.flatnonzero(confirmed)
+            test = convex_combination(points[i], points[over], tol_feas)
             if test.feasible:
+                interior.append((i, over, test.x))
                 break
             confirmed[extreme_along(test.dual[:-1])] = True
-    keep = np.flatnonzero(confirmed)
-    keep = keep[[is_extreme_point(points[j], points[keep[keep != j]], tol_feas) for j in keep]]
+    found = np.flatnonzero(confirmed)
+    keep = [j for j in found if is_extreme_point(points[j], points[found[found != j]], tol_feas)]
+    kept = np.isin(found, keep)
+    weights = np.zeros((mu, found.size))
+    weights[found, np.arange(found.size)] = 1.0
+    for i, over, x in interior:
+        weights[i, np.searchsorted(found, over)] = x
+    coefficients = weights[:, kept]
+    coefficients[weights[:, ~kept].any(axis=1)] = np.nan
     return VertexSet(
         vertices=points[keep],
         source_columns=tuple(rng.representative_column[i] for i in keep),
         r=points.shape[1],
+        unique_coefficients=coefficients,
     )
 
 
@@ -102,8 +121,10 @@ def reorder_vertices(vs: VertexSet, tol_rank: float = 1e-9) -> VertexSet:
         )
     chosen = set(prefix)
     order = prefix + [i for i in range(vs.d) if i not in chosen]
+    coefficients = vs.unique_coefficients
     return VertexSet(
-        vertices=vs.vertices[order].copy(),
+        vertices=vs.vertices[order],
         source_columns=tuple(vs.source_columns[i] for i in order),
         r=vs.r,
+        unique_coefficients=None if coefficients is None else coefficients[:, order],
     )

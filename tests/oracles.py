@@ -105,6 +105,22 @@ def distinct_values_loop(points, tol_dedup: float = 1e-9):
     return np.array(uniques), tuple(representatives), tuple(membership), merged_inexact
 
 
+def find_nodes_loop(basis, tol_node: float = 1e-6):
+    """The vector-by-vector node scan: for each basis vector, the smallest
+    column where it exceeds ``tol_node`` and every other vector is absolutely
+    at most ``tol_node``, or None when there is no such column."""
+    b = np.asarray(basis, dtype=float)
+    nodes = []
+    for k in range(b.shape[0]):
+        candidate = b[k] > tol_node
+        for j in range(b.shape[0]):
+            if j != k:
+                candidate &= np.abs(b[j]) <= tol_node
+        found = np.flatnonzero(candidate)
+        nodes.append(int(found[0]) if found.size else None)
+    return nodes
+
+
 def match_rows_up_to_scale(got, expected, tol: float = 1e-9):
     """Permutation sigma with got[k] == c_k * expected[sigma(k)], c_k > 0.
 

@@ -59,6 +59,13 @@ def test_negative_entry_exits_one(tmp_path, capsys):
     assert "row 2, column 2" in captured.err
 
 
+def test_non_finite_entry_exits_one(tmp_path, capsys):
+    source = tmp_path / "nan.csv"
+    source.write_text("1,2,3\n4,5,nan\n")
+    assert run([str(source)]) == 1
+    assert "non-finite entry at row 2, column 3" in capsys.readouterr().err
+
+
 def test_ragged_input_exits_one(tmp_path, capsys):
     source = tmp_path / "bad.csv"
     source.write_text("1,2\n3\n")

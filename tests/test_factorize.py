@@ -4,6 +4,7 @@ import pytest
 from latticenmf import (
     Classification,
     IntermediateDimensionError,
+    InvalidEntryError,
     PositiveBasis,
     ZeroColumnMask,
     ZeroMatrixError,
@@ -237,6 +238,15 @@ class TestFactorizeEdges:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             factorize(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    def test_bad_entries_carry_their_position(self):
+        for a, entry in [
+            (np.array([[1.0, 2.0, 0.0], [3.0, -0.5, -0.25]]), "negative entry -0.5"),
+            (np.array([[1.0, 2.0, 0.0], [3.0, np.nan, np.inf]]), "non-finite entry"),
+        ]:
+            with pytest.raises(InvalidEntryError) as info:
+                factorize(a)
+            assert (info.value.row, info.value.column, info.value.entry) == (1, 1, entry)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrixError):

@@ -35,6 +35,7 @@ from data import (
     NRF_5X4,
     SUBLAT_8X10,
 )
+from oracles import find_nodes_loop
 
 HAND_VS = VertexSet(
     vertices=MINLAT_6X6_VERTEX_ORDER,
@@ -130,7 +131,8 @@ class TestExpansionPerDistinctValue:
     def test_member_not_reproduced_by_the_shared_row_gets_its_own_solve(self, monkeypatch):
         calls = self._counting(monkeypatch)
         # A coarse dedup tolerance merges the last column into the interior
-        # value of column 3; the shared row misses it, so it is solved again.
+        # value of column 3; the shared row from the hull pass misses it, so
+        # it is the one column solved again.
         x = np.array(
             [
                 [1.0, 0.0, 0.0, 1.0, 1.0001],
@@ -143,7 +145,40 @@ class TestExpansionPerDistinctValue:
         vs = reorder_vertices(hull_vertices(rng))
         assert rng.membership == (0, 1, 2, 3, 3)
         coeff = expand_in_vertices(table, vs, rng).coefficients
+        assert len(calls) == 1
+        assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
+
+    def test_row_leaning_on_a_dropped_point_gets_its_own_solve(self, monkeypatch):
+        # Seven corners and a copy of corner 3 moved 1e-8 of the way towards
+        # corner 2 (a set of the near-corner family in test_polytope). The
+        # hull pass confirms the copy, writes the interior corner 5 over it,
+        # and its last pass drops the copy again. So corner 5 (unique 2) and
+        # the copy (unique 4) have no hull row, and only they are solved.
+        corners = np.array(
+            [
+                [0.03557194121015846, 0.6185172912459792, 0.10174991967352394, 0.24416084787033837],
+                [0.05930876120821326, 0.11736019252527602, 0.690582460415225, 0.13274858585128585],
+                [0.7612146968838848, 0.1531814516050179, 0.023598648040993, 0.06200520347010443],
+                [0.7193008613227374, 0.06003282445052333, 0.04654606782501333, 0.17412024640172585],
+                [0.12401323747291164, 0.2496081435864023, 0.5817799513493495, 0.04459866759133667],
+                [0.5726863521984474, 0.1734712643063885, 0.07728530632104433, 0.17655707717411961],
+                [0.04019279093291695, 0.396198591216401, 0.2856893602524934, 0.2779192575981885],
+            ]
+        )
+        near = corners[3] + 1.0090907972447098e-08 * (corners[2] - corners[3])
+        points = np.vstack([corners, near])[[0, 4, 5, 1, 7, 6, 3, 2]]
+        table = basic_function(points.T)
+        rng = distinct_values(table)
+        vs = reorder_vertices(hull_vertices(rng))
+        assert (vs.r, vs.d) == (4, 6)
+        assert 2 not in vs.source_columns and 4 not in vs.source_columns
+        missing = np.isnan(vs.unique_coefficients).any(axis=1)
+        assert np.flatnonzero(missing).tolist() == [2, 4]
+        calls = self._counting(monkeypatch)
+        coeff = expand_in_vertices(table, vs, rng).coefficients
         assert len(calls) == 2
+        assert coeff.min() >= 0.0
+        assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
 
@@ -225,6 +260,22 @@ class TestFindNodes:
     def test_missing_node_raises(self):
         with pytest.raises(NodeNotFoundError, match="no node column"):
             find_nodes(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_matches_the_vector_by_vector_scan(self):
+        # Sparse bases with entries at, just above and far below the
+        # threshold; about two thirds of them lack a node for some vector.
+        state = np.random.default_rng(79)
+        values = np.array([0.0, 1e-6, 1.1e-6, -1e-7, 0.5, 2.0])
+        weights = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
+        for _ in range(200):
+            shape = (int(state.integers(1, 5)), int(state.integers(1, 9)))
+            basis = state.choice(values, size=shape, p=weights)
+            expected = find_nodes_loop(basis)
+            if None in expected:
+                with pytest.raises(NodeNotFoundError, match=f"vector {expected.index(None)}$"):
+                    find_nodes(basis)
+            else:
+                assert find_nodes(basis) == tuple(expected)
 
 
 class TestBasisProperties:

@@ -74,6 +74,11 @@ class TestHullVertices:
                 others = np.delete(vs.vertices, i, axis=0)
                 assert not hull_contains(vs.vertices[i], others)
 
+    def test_empty_input_is_named(self):
+        rng = distinct_values(basic_function(np.ones((2, 0))))
+        with pytest.raises(ValueError, match="distinct range is empty"):
+            hull_vertices(rng)
+
     def test_vertex_set_invariant_under_column_permutation(self):
         state = np.random.default_rng(53)
         x = state.uniform(0.1, 3.0, size=(3, 8))
@@ -198,6 +203,41 @@ class TestHullPassMatchesPerPointRoute:
             )
             assert set(expected) <= set(got)
             assert len(got) == corner_count
+
+
+class TestUniqueCoefficients:
+    def test_rows_are_convex_weights_over_the_vertices(self):
+        state = np.random.default_rng(137)
+        for _ in range(20):
+            r = int(state.integers(3, 6))
+            points = state.dirichlet(np.ones(r), size=int(state.integers(r, 25)))
+            rng = distinct_values(basic_function(points.T))
+            vs = hull_vertices(rng)
+            coeff = vs.unique_coefficients
+            assert coeff.shape == (rng.mu, vs.d)
+            assert coeff.min() >= 0.0
+            assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-9
+            assert np.abs(coeff @ vs.vertices - rng.unique_points).max() <= 1e-9
+            vertex_values = [rng.membership[src] for src in vs.source_columns]
+            assert np.array_equal(coeff[vertex_values], np.eye(vs.d))
+
+    def test_reorder_permutes_the_columns_with_the_vertices(self):
+        # The square corners of test_dependent_vertex_moves_back: the fifth
+        # vertex moves in front of the fourth.
+        vertices = np.array(
+            [
+                [0.2, 0.2, 0.2, 0.4],
+                [0.2, 0.4, 0.0, 0.4],
+                [0.4, 0.2, 0.0, 0.4],
+                [0.4, 0.4, -0.2, 0.4],
+                [0.25, 0.25, 0.25, 0.25],
+            ]
+        )
+        coeff = np.arange(15.0).reshape(3, 5)
+        vs = VertexSet(vertices, (0, 1, 2, 3, 4), r=4, unique_coefficients=coeff)
+        out = reorder_vertices(vs)
+        assert out.source_columns == (0, 1, 2, 4, 3)
+        assert np.array_equal(out.unique_coefficients, coeff[:, [0, 1, 2, 4, 3]])
 
 
 class TestSegmentVertices:
