@@ -79,31 +79,50 @@ class DistinctRange:
         return self.unique_points.shape[0]
 
 
+def _isolated(points, tol_dedup: float) -> np.ndarray:
+    """Mask of points that have no other point within ``tol_dedup``.
+
+    Max-norm distance is at least the distance in the first coordinate, so a
+    point farther than the tolerance from both its neighbours in that order
+    is isolated. The mask may miss isolated points, never the reverse.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    close = np.diff(points[order, 0]) <= tol_dedup
+    isolated = np.ones(points.shape[0], dtype=bool)
+    isolated[order[1:][close]] = isolated[order[:-1][close]] = False
+    return isolated
+
+
 def distinct_values(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> DistinctRange:
     """Merge columns whose points differ by at most ``tol_dedup`` in max-norm.
 
     Each unique point is represented by the smallest column index attaining
-    it, and unique points are listed in first-occurrence order.
+    it, and unique points are listed in first-occurrence order. An isolated
+    point is its own unique; only the others go through the claim loop.
     """
     points = table.points
-    membership = np.empty(points.shape[0], dtype=int)
-    representatives: list[int] = []
+    m = points.shape[0]
+    owner = np.arange(m)  # the first point of each point's unique
     merged_inexact = False
-    # Each new unique claims every later, still unassigned point within
-    # the tolerance; earlier uniques claim first, so every point joins the
-    # first unique it matches, as in a scan of the columns in order.
-    unassigned = np.arange(points.shape[0])
-    while unassigned.size:
-        first, rest = unassigned[0], unassigned[1:]
-        diff = np.abs(points[rest] - points[first]).max(axis=1)
-        claimed = diff <= tol_dedup
-        membership[first] = membership[rest[claimed]] = len(representatives)
-        representatives.append(int(first))
+    # Each new unique claims every still unassigned point within the
+    # tolerance; earlier uniques claim first, so every point joins the first
+    # unique it matches, as in a scan of the columns in order.
+    candidates = np.flatnonzero(~_isolated(points, tol_dedup))
+    coordinates = np.ascontiguousarray(points[candidates].T)
+    unassigned = np.ones(candidates.size, dtype=bool)
+    while unassigned.any():
+        first = int(unassigned.argmax())
+        diff = np.abs(coordinates - coordinates[:, first, None]).max(axis=0)
+        claimed = unassigned & (diff <= tol_dedup)
+        owner[candidates[claimed]] = candidates[first]
         merged_inexact = merged_inexact or bool((diff[claimed] > 0.0).any())
-        unassigned = rest[~claimed]
+        unassigned &= ~claimed
+    is_first = owner == np.arange(m)
+    representatives = np.flatnonzero(is_first)
+    membership = (np.cumsum(is_first) - 1)[owner]
     return DistinctRange(
         unique_points=points[representatives],
-        representative_column=tuple(representatives),
+        representative_column=tuple(representatives.tolist()),
         membership=tuple(membership.tolist()),
         merged_inexact=merged_inexact,
     )

@@ -129,16 +129,18 @@ def greedy_independent_rows(m, tol_rank: float = 1e-9) -> list[int]:
         raise ZeroMatrixError("zero matrix")
     threshold = tol_rank * float(np.abs(a).max())
     kept: list[int] = []
-    reduced: list[tuple[np.ndarray, int]] = []
-    limit = min(a.shape)
-    for i in range(a.shape[0]):
-        if len(kept) == limit:
+    # Row i of ``rows`` is a[i] reduced against the rows kept before it: each
+    # kept row is eliminated from all later rows at once, so every row sees
+    # the same eliminations in the same order as in a row-by-row scan.
+    rows = a.copy()
+    while len(kept) < min(a.shape):
+        start = kept[-1] + 1 if kept else 0
+        above = np.flatnonzero(np.abs(rows[start:]).max(axis=1) > threshold)
+        if not above.size:
             break
-        row = a[i].copy()
-        for basis_row, pivot_col in reduced:
-            row -= (row[pivot_col] / basis_row[pivot_col]) * basis_row
-        pivot_col = int(np.argmax(np.abs(row)))
-        if abs(row[pivot_col]) > threshold:
-            kept.append(i)
-            reduced.append((row, pivot_col))
+        i = start + int(above[0])
+        pivot_col = int(np.argmax(np.abs(rows[i])))
+        later = rows[i + 1 :]
+        later -= (later[:, pivot_col] / rows[i, pivot_col])[:, None] * rows[i]
+        kept.append(i)
     return kept

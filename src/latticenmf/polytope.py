@@ -9,7 +9,16 @@ import numpy as np
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import SpanDeficiencyError
 from .linalg import greedy_independent_rows
-from .simplex import convex_combination, is_extreme_point
+from .simplex import (
+    FEASIBLE,
+    INFEASIBLE,
+    convex_combination,
+    convex_combinations,
+    is_extreme_point,
+)
+
+# Score entries computed at once when picking points along many directions.
+_SCORE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,63 +39,93 @@ class VertexSet:
 def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     """Extreme points of the unique values, in first-occurrence order.
 
-    Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996):
-    each unique point is tested against the hull of the vertices confirmed
-    so far, not against all other points. A feasible test makes the point
-    interior. An infeasible one yields a separating direction ``w`` (the
-    phase-one dual); the not-yet-confirmed point maximizing ``w``, near-ties
-    broken to the lexicographic maximum, joins the confirmed set, and the
-    point is tested again. Each test has as many columns as there are
-    confirmed points, and there is one failed test per confirmed point.
+    Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996) in
+    rounds. The confirmed set starts with the point maximizing each of the
+    directions ``+-e_j`` and ``points[0]`` minus the centroid. Each round
+    tests every unique point not yet resolved against the hull of the
+    confirmed points, in one stacked phase-one solve. A feasible test makes
+    the point interior. An infeasible one yields a separating direction
+    ``w`` (the phase-one dual); the point maximizing ``w``, near-ties broken
+    to the lexicographic maximum, lies outside that hull and maximizes ``w``
+    over all points, so it is extreme. All picks of a round are confirmed
+    together, and the points not yet resolved are tested again. A test that
+    fails is retried in the next round; a round whose tests give no pick
+    solves the first failing one alone, which raises its fault.
 
     A near-tie can confirm a point that is not extreme (one just inside a
     vertex on an edge leaving the maximal face). By the end every point lies
-    in the hull of the confirmed ones, so a last pass keeps exactly the
-    confirmed points outside the hull of the other confirmed points.
+    in the hull of the confirmed ones, so a last stacked solve keeps exactly
+    the confirmed points outside the hull of the other confirmed points.
 
     An interior point's feasible test gives its convex weights over the
     points confirmed by then: ``unique_coefficients``, with NaN rows where
     they lean on a point the last pass drops (its own row included).
     """
     points = rng.unique_points
-    mu = points.shape[0]
+    mu, r = points.shape
     if mu == 0:
         raise ValueError("hull_vertices needs at least one point; the distinct range is empty")
     tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
+    lex_rank = np.empty(mu, dtype=int)
+    lex_rank[np.lexsort(points.T[::-1])] = np.arange(mu)
     confirmed = np.zeros(mu, dtype=bool)
 
-    def extreme_along(w) -> int:
-        scores = points @ w
-        scores[confirmed] = -np.inf
-        # Score gaps grow with w, so the tie band does too.
-        tied = np.flatnonzero(scores >= scores.max() - tie_tol * float(np.abs(w).max()))
-        # The lexicographic maximum of exact maximizers is a vertex of the
-        # face they span; within the band it nearly always is.
-        return int(tied[np.lexsort(points[tied].T[::-1])[-1]])
+    def extreme_along(directions) -> np.ndarray:
+        """The unconfirmed point maximizing ``points @ w`` for each row ``w``."""
+        picks = []
+        step = max(1, _SCORE_ENTRIES // mu)
+        for start in range(0, len(directions), step):
+            w = directions[start : start + step]
+            scores = points @ w.T
+            scores[confirmed] = -np.inf
+            # Score gaps grow with w, so the tie band does too.
+            band = scores.max(axis=0) - tie_tol * np.abs(w).max(axis=1)
+            # The lexicographic maximum of exact maximizers is a vertex of the
+            # face they span; within the band it nearly always is.
+            picks.append(np.where(scores >= band, lex_rank[:, None], -1).argmax(axis=0))
+        return np.concatenate(picks)
 
-    interior = []  # (unique index, points confirmed at its test, its weights on them)
-    confirmed[extreme_along(points[0] - points.mean(axis=0))] = True
-    for i in range(mu):
-        while not confirmed[i]:
-            over = np.flatnonzero(confirmed)
-            test = convex_combination(points[i], points[over], tol_feas)
-            if test.feasible:
-                interior.append((i, over, test.x))
-                break
-            confirmed[extreme_along(test.dual[:-1])] = True
+    eye = np.eye(r)
+    confirmed[extreme_along(np.vstack([eye, -eye, points[0] - points.mean(axis=0)]))] = True
+    tested = []  # (interior points, points confirmed at their test, their weights on them)
+    pending = np.flatnonzero(~confirmed)
+    while pending.size:
+        over = np.flatnonzero(confirmed)
+        test = convex_combinations(points[pending], points[over], tol_feas)
+        resolved = test.status == FEASIBLE
+        directions = test.dual[test.status == INFEASIBLE, :-1]
+        failed = np.flatnonzero((test.status != FEASIBLE) & (test.status != INFEASIBLE))
+        if failed.size and not directions.size:
+            # No test gave a pick: solve the first failed one alone, which
+            # raises its fault, or settles the point if the fault does not recur.
+            first = failed[0]
+            single = convex_combination(points[pending[first]], points[over], tol_feas)
+            if single.feasible:
+                resolved[first], test.x[first] = True, single.x
+            else:
+                directions = single.dual[None, :-1]
+        tested.append((pending[resolved], over, test.x[resolved]))
+        if directions.size:
+            confirmed[extreme_along(directions)] = True
+        pending = pending[~resolved & ~confirmed[pending]]
+
     found = np.flatnonzero(confirmed)
-    keep = [j for j in found if is_extreme_point(points[j], points[found[found != j]], tol_feas)]
-    kept = np.isin(found, keep)
+    ends = np.arange(found.size)
+    last = convex_combinations(points[found], points[found], tol_feas, skip=ends)
+    kept = last.status == INFEASIBLE
+    for j in np.flatnonzero((last.status != FEASIBLE) & ~kept):
+        kept[j] = is_extreme_point(points[found[j]], points[found[ends != j]], tol_feas)
+    keep = found[kept]
     weights = np.zeros((mu, found.size))
     weights[found, np.arange(found.size)] = 1.0
-    for i, over, x in interior:
-        weights[i, np.searchsorted(found, over)] = x
+    for shares, over, x in tested:
+        weights[np.ix_(shares, np.searchsorted(found, over))] = x
     coefficients = weights[:, kept]
     coefficients[weights[:, ~kept].any(axis=1)] = np.nan
     return VertexSet(
         vertices=points[keep],
         source_columns=tuple(rng.representative_column[i] for i in keep),
-        r=points.shape[1],
+        r=r,
         unique_coefficients=coefficients,
     )
 

@@ -1,9 +1,11 @@
 """Phase-one simplex for equality-constrained nonnegative feasibility.
 
-Dense tableau with Bland's smallest-index rule. The instances solved here
-are tiny (a handful of constraint rows over at most a few hundred
-variables), so determinism and guaranteed termination matter more than
-speed.
+Dense tableau with Bland's smallest-index rule, run on a stack of problems
+at once: every problem pivots on its own, and one pass of the loop makes one
+pivot in each problem still running. The instances solved here are tiny (a
+handful of constraint rows over at most a few hundred variables), so
+determinism and guaranteed termination matter more than speed per problem;
+stacking them removes the interpreter cost per problem.
 """
 
 from __future__ import annotations
@@ -14,6 +16,20 @@ import numpy as np
 
 from .errors import SimplexCheckError, SimplexStalledError
 from .linalg import as_matrix
+
+# How a problem of a stack ended; the last four are faults.
+FEASIBLE, INFEASIBLE, NO_PIVOT_ROW, ITERATION_LIMIT, NEGATIVE_ENTRY, MISSED_EQUATIONS = range(6)
+
+# The fault messages phase_one_feasible raises, filled in with StackResult.detail.
+_FAULTS = {
+    NO_PIVOT_ROW: (SimplexStalledError, "simplex stalled: no admissible pivot row"),
+    ITERATION_LIMIT: (SimplexStalledError, "simplex stalled after {:.0f} iterations"),
+    NEGATIVE_ENTRY: (SimplexCheckError, "simplex returned a negative entry {:.3e}"),
+    MISSED_EQUATIONS: (SimplexCheckError, "simplex solution misses the equations by {:.3e}"),
+}
+
+# Tableau entries solved at once; a longer stack is solved in slices.
+_SLICE_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +60,164 @@ class FeasibilityResult:
         return self.x is not None
 
 
+class StackResult:
+    """Outcome of phase one on a stack of problems, one row per problem.
+
+    ``status`` is FEASIBLE, INFEASIBLE or the fault that stopped the
+    problem. ``x`` is the solution found at a feasible optimum, checked or
+    not (zeros otherwise);
+    ``infeasibility``, ``iterations`` and ``dual`` are as in
+    FeasibilityResult. ``detail`` is the figure a fault's message names:
+    the iteration count, the lowest entry or the residual.
+    """
+
+    def __init__(self, count: int, k: int, q: int):
+        self.status, self.iterations = np.zeros((2, count), dtype=int)
+        self.infeasibility, self.detail = np.zeros((2, count))
+        self.x, self.dual = np.zeros((count, q)), np.zeros((count, k))
+
+
+def solve_stack(
+    a, b, tol_feas: float = 1e-9, max_iterations: int | None = None, skip=None
+) -> StackResult:
+    """Phase one for the systems ``a[p] @ x == b[p]``, ``x >= 0``.
+
+    ``b`` is P x k; ``a`` is P x k x q, or one k x q matrix shared by all
+    problems. With ``skip`` (one column index per problem), problem ``p``
+    leaves column ``skip[p]`` out: ``x[p, skip[p]]`` stays 0 and the column
+    counts nowhere, so one shared matrix serves problems that each drop a
+    different column. Entries must be finite. Each problem follows exactly
+    the pivots it would follow alone: its own Bland entering index, ratio
+    test and pivot tolerance ``1e-11 * (1 + max|a[p]|)``. Feasibility is
+    declared when its optimal phase-one objective is at most
+    ``tol_feas * (1 + max|b[p]|)`` and the solution passes the checks of
+    ``_check_solution``. Nothing is raised for a problem; its status says
+    how it ended.
+    """
+    b = np.asarray(b, dtype=float)
+    (count, k), q = b.shape, np.shape(a)[-1]
+    a = np.broadcast_to(np.asarray(a, dtype=float), (count, k, q))
+    if max_iterations is None:
+        max_iterations = 1000 + 100 * (q + k)
+    out = StackResult(count, k, q)
+    step = max(1, _SLICE_ENTRIES // (k * (q + k + 1) or 1))
+    for start in range(0, count, step):
+        part = slice(start, start + step)
+        _solve_slice(a[part], b[part], None if skip is None else skip[part],
+                     tol_feas, max_iterations, out, start)
+    return out
+
+
+def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset: int) -> None:
+    """The pivot loop of ``solve_stack`` for problems ``offset...`` of ``out``."""
+    count, k, q = a.shape
+    n = q + k
+    column_scale = np.abs(a).max(axis=1, initial=0.0)
+    if skip is not None:
+        column_scale[np.arange(count), skip] = 0.0
+    a_scale = column_scale.max(axis=1, initial=0.0)
+    # Flip rows with negative right-hand side so the artificial start is feasible.
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    tableau = np.zeros((count, k, n + 1))
+    tableau[:, :, :q] = a * sign[:, :, None]
+    tableau[:, :, q:n] = np.eye(k)
+    tableau[:, :, -1] = b * sign
+    basis = np.tile(np.arange(q, n), (count, 1))
+    cost = np.zeros(n)
+    cost[q:] = 1.0
+    pivot_tol = 1e-11 * (1.0 + a_scale[:, None])
+    live = rows = np.arange(count)  # live: the problem of each working tableau
+    optimal_parts = []  # (problems, tableaux, bases) that reached the optimum
+    iteration = 0  # pivots made by every live problem
+
+    while live.size:
+        reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :n])[:, 0]
+        improving = reduced < -pivot_tol
+        if skip is not None:
+            improving[rows, skip[live]] = False
+        entering = improving.argmax(axis=1)  # Bland: smallest improving index
+        column = tableau[rows, :, entering]
+        admissible = column > pivot_tol
+        optimal = ~improving.any(axis=1)
+        pivoting = ~optimal & admissible.any(axis=1)
+        capped = pivoting & (iteration == max_iterations)
+        going = pivoting & ~capped
+        if not going.all():
+            # The others end: at the optimum (verdicts below), for want of a
+            # pivot row, or at a pivot past the iteration cap.
+            ended = ~going
+            problems = live[ended] + offset
+            out.status[problems] = np.where(capped[ended], ITERATION_LIMIT, NO_PIVOT_ROW)
+            out.iterations[problems] = out.detail[problems] = iteration + capped[ended]
+            optimal_parts.append((live[optimal], tableau[optimal], basis[optimal]))
+            live, tableau, basis, pivot_tol, entering, column, admissible = (
+                v[going] for v in (live, tableau, basis, pivot_tol, entering, column, admissible)
+            )
+            rows = np.arange(live.size)
+            if not live.size:
+                break
+        ratios = np.full(column.shape, np.inf)
+        np.divide(tableau[:, :, -1], column, out=ratios, where=admissible)
+        candidates = admissible & (ratios <= ratios.min(axis=1, keepdims=True) + pivot_tol)
+        leaving = np.where(candidates, basis, n).argmin(axis=1)
+        pivot_row = tableau[rows, leaving] / column[rows, leaving, None]
+        # Eliminate the entering column from every other row, all at once.
+        column[rows, leaving] = 0.0
+        tableau -= column[:, :, None] * pivot_row[:, None, :]
+        tableau[rows, leaving] = pivot_row
+        basis[rows, leaving] = entering
+        iteration += 1
+
+    # Verdicts at the optimum: phase-one duals of the sign-flipped rows mapped
+    # back to the rows as given, the objective and the checked solution.
+    problems, tableau, basis = (np.concatenate(part) for part in zip(*optimal_parts))
+    artificial = cost[basis][:, None, :]
+    out.dual[problems + offset] = (artificial @ tableau[:, :, q:n])[:, 0] * sign[problems]
+    objective = (artificial @ tableau[:, :, -1:])[:, 0, 0]
+    out.infeasibility[problems + offset] = objective
+    out.status[problems + offset] = INFEASIBLE
+    x = np.zeros((problems.size, n))
+    x[np.arange(problems.size)[:, None], basis] = tableau[:, :, -1]
+    solved = objective <= tol_feas * (1.0 + np.abs(b[problems]).max(axis=1, initial=0.0))
+    problems, x = problems[solved], x[solved, :q]
+    out.x[problems + offset] = x
+    out.status[problems + offset], out.detail[problems + offset] = _solution_faults(
+        a[problems], b[problems], x, a_scale[problems], tol_feas
+    )
+
+
+def _solution_faults(a, b, x, a_scale, tol_feas: float):
+    """Status and detail per problem: FEASIBLE unless ``x[p]`` has an entry
+    below ``-tol_feas * (1 + max|b[p]|)`` or misses ``a[p] @ x == b[p]`` by
+    more than ``max(tol_feas, 1e-7) * (1 + max|b[p]|) * (1 + a_scale[p])``,
+    where ``a_scale[p]`` is ``max|a[p]|`` over the columns in use."""
+    b_scale = np.abs(b).max(axis=1, initial=0.0)
+    lowest = x.min(axis=1, initial=0.0)
+    residual = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
+    negative = lowest < -tol_feas * (1.0 + b_scale)
+    missed = residual > max(tol_feas, 1e-7) * (1.0 + b_scale) * (1.0 + a_scale)
+    status = np.where(negative, NEGATIVE_ENTRY, np.where(missed, MISSED_EQUATIONS, FEASIBLE))
+    return status, np.where(negative, lowest, np.where(missed, residual, 0.0))
+
+
+def _raise_fault(status: int, detail: float) -> None:
+    if status in _FAULTS:
+        error, message = _FAULTS[status]
+        raise error(message.format(detail))
+
+
+def _check_solution(a, b, x, tol_feas: float) -> None:
+    """Raise SimplexCheckError unless ``x`` is nonnegative and solves
+    ``a @ x == b`` within the solver's own bounds. A real check rather than
+    an assert, so it also runs under ``python -O``."""
+    a = np.atleast_2d(a)
+    status, detail = _solution_faults(
+        a[None], np.ravel(b)[None], np.ravel(x)[None].astype(float),
+        np.abs(a).max(initial=0.0)[None], tol_feas,
+    )
+    _raise_fault(int(status[0]), float(detail[0]))
+
+
 def phase_one_feasible(
     problem: FeasibilityProblem,
     tol_feas: float = 1e-9,
@@ -51,82 +225,40 @@ def phase_one_feasible(
 ) -> FeasibilityResult:
     """Minimize the total artificial infeasibility of the equality system.
 
-    Feasibility is declared when the optimal phase-one objective is at
-    most ``tol_feas * (1 + max|b_eq|)``; otherwise the result carries the
-    leftover objective as the infeasibility certificate. Which feasible
-    point comes back is whichever basic solution the pivoting lands on.
+    The one-problem call of ``solve_stack``. Feasibility is declared when
+    the optimal phase-one objective is at most ``tol_feas * (1 + max|b_eq|)``;
+    otherwise the result carries the leftover objective as the
+    infeasibility certificate. Which feasible point comes back is whichever
+    basic solution the pivoting lands on. Raises SimplexStalledError or
+    SimplexCheckError when the solve fails.
     """
     a = as_matrix(problem.a_eq, "a_eq")
     b = np.asarray(problem.b_eq, dtype=float).ravel()
-    k, q = a.shape
-    if b.shape[0] != k:
-        raise ValueError(f"b_eq length {b.shape[0]} does not match {k} constraint rows")
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"b_eq length {b.shape[0]} does not match {a.shape[0]} constraint rows")
     if b.size and not np.isfinite(b).all():
         raise ValueError("b_eq contains NaN or infinite entries")
-
-    # Flip rows with negative right-hand side so the artificial start is feasible.
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    tableau = np.zeros((k, q + k + 1))
-    tableau[:, :q] = a * sign[:, None]
-    tableau[:, q : q + k] = np.eye(k)
-    tableau[:, -1] = b * sign
-    basis = np.arange(q, q + k)
-    cost = np.zeros(q + k)
-    cost[q:] = 1.0
-
-    pivot_tol = 1e-11 * (1.0 + (float(np.abs(a).max()) if a.size else 0.0))
-    if max_iterations is None:
-        max_iterations = 1000 + 100 * (q + k)
-
-    iterations = 0
-    while True:
-        reduced = cost - cost[basis] @ tableau[:, : q + k]
-        improving = (reduced < -pivot_tol).nonzero()[0]
-        if improving.size == 0:
-            break
-        entering = int(improving[0])  # Bland: smallest improving index
-        column = tableau[:, entering]
-        rows = (column > pivot_tol).nonzero()[0]
-        if rows.size == 0:
-            raise SimplexStalledError("simplex stalled: no admissible pivot row")
-        ratios = tableau[rows, -1] / column[rows]
-        best = float(ratios.min())
-        candidates = rows[ratios <= best + pivot_tol]
-        leaving = int(candidates[basis[candidates].argmin()])
-        tableau[leaving] /= tableau[leaving, entering]
-        # Eliminate the entering column from the rows that have it, all at once.
-        touched = (column != 0.0).nonzero()[0]
-        touched = touched[touched != leaving]
-        tableau[touched] -= column[touched, None] * tableau[leaving]
-        basis[leaving] = entering
-        iterations += 1
-        if iterations > max_iterations:
-            raise SimplexStalledError(f"simplex stalled after {iterations} iterations")
-
-    # Phase-one duals of the sign-flipped rows, mapped back to the rows as given.
-    dual = (cost[basis] @ tableau[:, q : q + k]) * sign
-    objective = float(cost[basis] @ tableau[:, -1])
-    b_scale = float(np.abs(b).max()) if b.size else 0.0
-    if objective > tol_feas * (1.0 + b_scale):
-        return FeasibilityResult(None, objective, iterations, dual)
-    x = np.zeros(q)
-    structural = basis < q
-    x[basis[structural]] = tableau[structural, -1]
-    _check_solution(a, b, x, tol_feas)
-    return FeasibilityResult(x, objective, iterations, dual)
+    out = solve_stack(a[None], b[None], tol_feas, max_iterations)
+    status = int(out.status[0])
+    _raise_fault(status, float(out.detail[0]))
+    return FeasibilityResult(
+        x=out.x[0] if status == FEASIBLE else None,
+        infeasibility=float(out.infeasibility[0]),
+        iterations=int(out.iterations[0]),
+        dual=out.dual[0],
+    )
 
 
-def _check_solution(a, b, x, tol_feas: float) -> None:
-    """Raise SimplexCheckError unless ``x`` is nonnegative and solves
-    ``a @ x == b`` within the solver's own bounds. A real check rather than
-    an assert, so it also runs under ``python -O``."""
-    b_scale = float(np.abs(b).max(initial=0.0))
-    lowest = float(x.min(initial=0.0))
-    if lowest < -tol_feas * (1.0 + b_scale):
-        raise SimplexCheckError(f"simplex returned a negative entry {lowest:.3e}")
-    residual = float(np.abs(a @ x - b).max(initial=0.0))
-    if residual > max(tol_feas, 1e-7) * (1.0 + b_scale) * (1.0 + np.abs(a).max(initial=0.0)):
-        raise SimplexCheckError(f"simplex solution misses the equations by {residual:.3e}")
+def _hull_system(points, pts):
+    """``(a, b)`` of the systems writing each row of ``points`` as a convex
+    combination of ``pts`` (q x r, or one q x r set per point): the
+    coordinates of ``pts`` over a row of ones, against the point and 1."""
+    points, pts = np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(pts, dtype=float)
+    if pts.shape[-1] != points.shape[1]:
+        raise ValueError("dimension mismatch between point and pts")
+    a = np.ones(pts.shape[:-2] + (pts.shape[-1] + 1, pts.shape[-2]))
+    a[..., :-1, :] = np.swapaxes(pts, -1, -2)
+    return a, np.column_stack([points, np.ones(len(points))])
 
 
 def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
@@ -137,13 +269,17 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
     and ``w @ q + c <= 0`` (up to the pivot tolerance) for every row ``q``
     of ``pts``, i.e. ``w`` separates ``point`` from their hull.
     """
-    point = np.asarray(point, dtype=float).ravel()
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if pts.shape[1] != point.shape[0]:
-        raise ValueError("dimension mismatch between point and pts")
-    a_eq = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
-    b_eq = np.concatenate([point, [1.0]])
-    return phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
+    a, b = _hull_system(np.ravel(point), np.atleast_2d(pts))
+    return phase_one_feasible(FeasibilityProblem(a, b[0]), tol_feas)
+
+
+def convex_combinations(points, pts, tol_feas: float = 1e-9, skip=None) -> StackResult:
+    """``convex_combination`` for every row of ``points`` in one stacked
+    solve, each against ``pts`` (q x r, shared) or against its own set
+    ``pts[p]`` (P x q x r). With ``skip``, point ``p`` is tested against
+    the rows of ``pts`` other than ``pts[skip[p]]``."""
+    a, b = _hull_system(points, pts)
+    return solve_stack(a, b, tol_feas, skip=skip)
 
 
 def is_extreme_point(p, others, tol_feas: float = 1e-9) -> bool:

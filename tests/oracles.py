@@ -105,6 +105,36 @@ def distinct_values_loop(points, tol_dedup: float = 1e-9):
     return np.array(uniques), tuple(representatives), tuple(membership), merged_inexact
 
 
+def isolated_points_loop(points, tol_dedup: float = 1e-9):
+    """For each point, whether every other point is more than ``tol_dedup``
+    away in max-norm, by comparing all pairs."""
+    pts = np.asarray(points, dtype=float)
+    return [
+        all(float(np.abs(p - q).max()) > tol_dedup for j, q in enumerate(pts) if j != i)
+        for i, p in enumerate(pts)
+    ]
+
+
+def greedy_independent_rows_loop(matrix, tol_rank: float = 1e-9):
+    """The row-by-row first-wins scan: each row is reduced against the kept
+    rows in the order they were kept, and kept when an entry of what is left
+    exceeds ``tol_rank * max|matrix|``."""
+    a = np.asarray(matrix, dtype=float)
+    threshold = tol_rank * float(np.abs(a).max())
+    kept, reduced = [], []
+    for i in range(a.shape[0]):
+        if len(kept) == min(a.shape):
+            break
+        row = a[i].copy()
+        for basis_row, pivot_col in reduced:
+            row -= (row[pivot_col] / basis_row[pivot_col]) * basis_row
+        pivot_col = int(np.argmax(np.abs(row)))
+        if abs(row[pivot_col]) > threshold:
+            kept.append(i)
+            reduced.append((row, pivot_col))
+    return kept
+
+
 def find_nodes_loop(basis, tol_node: float = 1e-6):
     """The vector-by-vector node scan: for each basis vector, the smallest
     column where it exceeds ``tol_node`` and every other vector is absolutely

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from latticenmf import (
     BasicFunctionTable,
     ZeroColumnError,
+    basic,
     basic_function,
     distinct_values,
     rank_of,
@@ -14,7 +15,7 @@ from latticenmf import (
 )
 
 from data import MINLAT_6X6, NRF_5X4, SUBLAT_8X10
-from oracles import distinct_values_loop
+from oracles import distinct_values_loop, isolated_points_loop
 
 
 def test_select_basic_set_keeps_scan_order():
@@ -133,6 +134,51 @@ def test_distinct_values_matches_the_column_scan_on_near_duplicate_chains():
             points = points[state.permutation(len(points))]
         table = BasicFunctionTable(points=points, sums=np.ones(len(points)))
         got = distinct_values(table, tol_dedup=tol)
+        uniques, representatives, membership, merged_inexact = distinct_values_loop(points, tol)
+        assert np.array_equal(got.unique_points, uniques)
+        assert got.representative_column == representatives
+        assert got.membership == membership
+        assert got.merged_inexact == merged_inexact
+
+
+def _mixed_shares(state, tol):
+    """Isolated points, exact repeats, chains stepping 0.6..1.4 * tol, and
+    points sharing a first coordinate while far apart in the others."""
+    r = int(state.integers(2, 6))
+    parts = [state.dirichlet(np.ones(r), size=int(state.integers(1, 12)))]
+    for _ in range(int(state.integers(0, 4))):
+        start = state.dirichlet(np.ones(r))
+        step = np.zeros(r)
+        step[int(state.integers(0, r))] = state.uniform(0.6, 1.4) * tol
+        parts.append(start + np.arange(int(state.integers(2, 7)))[:, None] * step)
+    parts.append(parts[0][state.integers(0, len(parts[0]), size=3)])
+    shared = state.dirichlet(np.ones(r), size=3)
+    shared[:, 0] = parts[0][0, 0]
+    parts.append(shared)
+    points = np.vstack(parts)
+    return points[state.permutation(len(points))]
+
+
+def test_isolated_points_are_isolated_in_the_pairwise_loop():
+    tol = 1e-9
+    state = np.random.default_rng(71)
+    for _ in range(100):
+        points = _mixed_shares(state, tol)
+        got = basic._isolated(points, tol)
+        truth = isolated_points_loop(points, tol)
+        assert all(t for g, t in zip(got, truth) if g)
+        # Points apart in the first coordinate are found exactly.
+        spread = np.abs(points[:, None, 0] - points[None, :, 0]) > tol
+        np.fill_diagonal(spread, True)
+        assert all(g == t for g, t, apart in zip(got, truth, spread.all(axis=1)) if apart)
+
+
+def test_distinct_values_matches_the_column_scan_with_isolated_points():
+    tol = 1e-9
+    state = np.random.default_rng(73)
+    for _ in range(272):
+        points = _mixed_shares(state, tol)
+        got = distinct_values(BasicFunctionTable(points=points, sums=np.ones(len(points))), tol)
         uniques, representatives, membership, merged_inexact = distinct_values_loop(points, tol)
         assert np.array_equal(got.unique_points, uniques)
         assert got.representative_column == representatives

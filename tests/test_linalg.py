@@ -11,7 +11,7 @@ from latticenmf import (
 )
 
 from data import MINLAT_6X6, NRF_5X4, SUBLAT_8X10
-from oracles import exact_rank
+from oracles import exact_rank, greedy_independent_rows_loop
 
 
 class TestTolerances:
@@ -133,3 +133,16 @@ class TestGreedyIndependentRows:
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 1, size=(6, 4))
         assert greedy_independent_rows(a) == greedy_independent_rows(a)
+
+    def test_matches_the_row_by_row_scan(self):
+        # Low-rank products with repeated, scaled and near-threshold rows.
+        state = np.random.default_rng(67)
+        for trial in range(300):
+            n, m = (int(v) for v in state.integers(1, 12, size=2))
+            k = int(state.integers(1, min(n, m) + 1))
+            a = state.uniform(0, 3, size=(n, k)) @ state.uniform(0, 3, size=(k, m))
+            if trial % 3 == 0 and n > 1:
+                a[int(state.integers(1, n))] = a[0] * state.uniform(0.5, 2.0)
+            if trial % 5 == 0:
+                a[int(state.integers(0, n))] *= 1e-9
+            assert greedy_independent_rows(a) == greedy_independent_rows_loop(a)

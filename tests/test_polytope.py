@@ -1,14 +1,17 @@
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
+import latticenmf
 from latticenmf import (
     FeasibilityProblem,
+    SimplexCheckError,
     SpanDeficiencyError,
     VertexSet,
     basic_function,
     distinct_values,
+    factorize,
     hull_vertices,
     is_extreme_point,
     phase_one_feasible,
@@ -16,8 +19,9 @@ from latticenmf import (
     reorder_vertices,
     segment_vertices,
 )
+from latticenmf.simplex import convex_combination
 
-from data import MINLAT_6X6, NRF_5X4, RANK2_ROWS
+from data import MINLAT_6X6, MINLAT_8X11, NRF_5X4, RANK2_ROWS
 from oracles import hull_contains
 
 
@@ -327,3 +331,138 @@ class TestReorderVertices:
         )
         with pytest.raises(SpanDeficiencyError):
             reorder_vertices(vs)
+
+
+def _point_by_point_pass(rng, tol_feas=1e-9):
+    """Unique indices of the vertices found by the hull pass that tests one
+    point at a time, each until it is interior or confirmed, from the single
+    start direction point 0 minus the centroid, with the same last pass."""
+    points = rng.unique_points
+    tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
+    confirmed = np.zeros(len(points), dtype=bool)
+
+    def extreme_along(w):
+        scores = points @ w
+        scores[confirmed] = -np.inf
+        tied = np.flatnonzero(scores >= scores.max() - tie_tol * float(np.abs(w).max()))
+        return int(tied[np.lexsort(points[tied].T[::-1])[-1]])
+
+    confirmed[extreme_along(points[0] - points.mean(axis=0))] = True
+    for i in range(len(points)):
+        while not confirmed[i]:
+            test = convex_combination(points[i], points[confirmed], tol_feas)
+            if test.feasible:
+                break
+            confirmed[extreme_along(test.dual[:-1])] = True
+    found = np.flatnonzero(confirmed)
+    return [j for j in found if is_extreme_point(points[j], points[found[found != j]], tol_feas)]
+
+
+def _small_sets(state, count):
+    for _ in range(count):
+        r = int(state.integers(3, 6))
+        points = state.dirichlet(np.ones(r), size=int(state.integers(r, 25)))
+        yield distinct_values(basic_function(points.T))
+
+
+class TestRounds:
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = {"rounds": [], "last": [], "kernel": 0, "single": 0}
+        stacked, kernel, single = (
+            latticenmf.polytope.convex_combinations,
+            latticenmf.simplex.solve_stack,
+            latticenmf.simplex.phase_one_feasible,
+        )
+
+        def counted_stack(points, pts, tol_feas=1e-9, skip=None):
+            calls["rounds" if skip is None else "last"].append({tuple(p) for p in points})
+            return stacked(points, pts, tol_feas, skip)
+
+        def counted_kernel(*args, **kwargs):
+            calls["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        def counted_single(*args, **kwargs):
+            calls["single"] += 1
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.polytope, "convex_combinations", counted_stack)
+        monkeypatch.setattr(latticenmf.simplex, "solve_stack", counted_kernel)
+        monkeypatch.setattr(latticenmf.simplex, "phase_one_feasible", counted_single)
+        return calls
+
+    def test_one_kernel_call_per_round_and_one_for_the_last_pass(self, monkeypatch):
+        state = np.random.default_rng(139)
+        for rng in _small_sets(state, 30):
+            calls = self._counting(monkeypatch)
+            vs = hull_vertices(rng)
+            rounds, (last,) = calls["rounds"], calls["last"]
+            assert calls["kernel"] == len(rounds) + 1
+            assert calls["single"] == 0
+            # Each round tests a strict subset of the points of the round before.
+            assert all(later < earlier for earlier, later in zip(rounds, rounds[1:]))
+            assert {tuple(v) for v in vs.vertices} <= last
+            monkeypatch.undo()
+
+    def test_failed_tests_are_settled_one_at_a_time(self, monkeypatch):
+        # Every stacked test reports a fault: each round then settles its first
+        # point alone and the last pass asks each point alone, which must give
+        # the same vertices and weights as the stacked solves.
+        state = np.random.default_rng(149)
+        stacked = latticenmf.polytope.convex_combinations
+
+        def failing(*args, **kwargs):
+            out = stacked(*args, **kwargs)
+            out.status[:] = latticenmf.simplex.NO_PIVOT_ROW
+            return out
+
+        for rng in _small_sets(state, 10):
+            expected = hull_vertices(rng)
+            monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
+            got = hull_vertices(rng)
+            monkeypatch.undo()
+            assert got.source_columns == expected.source_columns
+            assert np.abs(got.unique_coefficients @ got.vertices - rng.unique_points).max() <= 1e-9
+
+    def test_a_fault_no_round_can_pass_raises_with_stage_vertices(self, monkeypatch):
+        stacked = latticenmf.polytope.convex_combinations
+
+        def failing(*args, **kwargs):
+            out = stacked(*args, **kwargs)
+            out.status[:] = latticenmf.simplex.MISSED_EQUATIONS
+            return out
+
+        def raising(*args, **kwargs):
+            raise SimplexCheckError("simplex solution misses the equations by 1.000e-03")
+
+        monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
+        monkeypatch.setattr(latticenmf.polytope, "convex_combination", raising)
+        with pytest.raises(SimplexCheckError) as raised:
+            factorize(MINLAT_8X11)
+        assert raised.value.stage == "vertices"
+
+    def test_near_corner_points_match_the_point_by_point_pass(self):
+        # Corners plus one point 1e-8..1e-7 along every edge from each corner.
+        # Both passes can fail here (the absolute pivot tolerance); wherever
+        # both return, their vertex sets agree.
+        state = np.random.default_rng(151)
+        both = 0
+        for _ in range(100):
+            r = int(state.integers(3, 6))
+            corners = state.dirichlet(np.ones(r), size=int(state.integers(r, 7)))
+            near = [
+                corners[i] + state.uniform(1e-8, 1e-7) * (corners[j] - corners[i])
+                for i, j in permutations(range(len(corners)), 2)
+            ]
+            points = np.vstack([corners, near])[state.permutation(len(corners) * len(corners))]
+            scales = state.uniform(0.5, 20.0, size=len(points))
+            rng = distinct_values(basic_function((points * scales[:, None]).T))
+            try:
+                expected = _point_by_point_pass(rng)
+                got = [rng.representative_column.index(c) for c in hull_vertices(rng).source_columns]
+            except SimplexCheckError:
+                continue
+            both += 1
+            assert got == expected
+        assert both >= 60

@@ -8,6 +8,7 @@ from latticenmf import (
     FactorizationError,
     FeasibilityProblem,
     SimplexCheckError,
+    SimplexStalledError,
     basic_function,
     distinct_values,
     hull_vertices,
@@ -15,7 +16,7 @@ from latticenmf import (
     phase_one_feasible,
     simplex,
 )
-from latticenmf.simplex import convex_combination
+from latticenmf.simplex import convex_combination, convex_combinations
 
 from data import MINLAT_6X6, MINLAT_6X6_VERTEX_ORDER
 from oracles import hull_contains
@@ -178,3 +179,91 @@ def test_hull_route_matches_brute_force_vertices():
         ]
         got = [rng.representative_column.index(src) for src in vs.source_columns]
         assert sorted(got) == expected
+
+
+def _random_systems(state, count, k, q):
+    """``count`` systems of one shape: constructed feasible ones, nonnegative
+    ones with a negative right-hand side, and point-in-hull ones with half of
+    the points pushed out of the hull."""
+    kind = int(state.integers(0, 3))
+    if kind == 0:
+        a = state.uniform(-3, 3, size=(count, k, q))
+        return a, (a @ state.uniform(0, 1, size=(count, q, 1)))[:, :, 0]
+    if kind == 1:
+        return state.uniform(0, 2, size=(count, k, q)), state.uniform(-1, 1, size=(count, k))
+    pts = state.dirichlet(np.ones(k - 1), size=(count, q))
+    points = state.dirichlet(np.ones(k - 1), size=count)
+    out = state.random(count) < 0.5
+    points[out] = pts[out, 0] + 0.3 * (pts[out, 0] - pts[out].mean(axis=1))
+    return (
+        np.concatenate([pts.transpose(0, 2, 1), np.ones((count, 1, q))], axis=1),
+        np.hstack([points, np.ones((count, 1))]),
+    )
+
+
+class TestSolveStack:
+    def test_matches_one_problem_solves(self):
+        state = np.random.default_rng(89)
+        faults = {SimplexStalledError: (simplex.NO_PIVOT_ROW, simplex.ITERATION_LIMIT),
+                  SimplexCheckError: (simplex.NEGATIVE_ENTRY, simplex.MISSED_EQUATIONS)}
+        for _ in range(60):
+            count, k, q = int(state.integers(1, 12)), int(state.integers(2, 6)), int(state.integers(1, 15))
+            a, b = _random_systems(state, count, k, q)
+            stack = simplex.solve_stack(a, b)
+            for p in range(count):
+                try:
+                    single = phase_one_feasible(FeasibilityProblem(a[p], b[p]))
+                except (SimplexStalledError, SimplexCheckError) as err:
+                    assert stack.status[p] in faults[type(err)]
+                    continue
+                assert stack.iterations[p] == single.iterations
+                if single.feasible:
+                    assert stack.status[p] == simplex.FEASIBLE
+                    simplex._check_solution(a[p], b[p], stack.x[p], 1e-9)
+                    assert np.abs(stack.x[p] - single.x).max() <= 1e-12
+                    continue
+                assert stack.status[p] == simplex.INFEASIBLE
+                y = stack.dual[p]
+                assert (y @ a[p]).max() <= 1e-9
+                assert abs(y @ b[p] - stack.infeasibility[p]) <= 1e-9 * (1 + stack.infeasibility[p])
+                assert abs(stack.infeasibility[p] - single.infeasibility) <= 1e-12
+
+    def test_shared_matrix_and_slices_give_the_same_result(self, monkeypatch):
+        state = np.random.default_rng(97)
+        pts = state.dirichlet(np.ones(4), size=9)
+        points = np.vstack([state.dirichlet(np.ones(4), size=20), pts + 0.2 * (pts - 0.25)])
+        whole = convex_combinations(points, pts)
+        monkeypatch.setattr(simplex, "_SLICE_ENTRIES", 3 * 5 * 15)
+        sliced = convex_combinations(points, pts)
+        for field in ("status", "x", "infeasibility", "iterations", "dual"):
+            assert np.array_equal(getattr(whole, field), getattr(sliced, field))
+        for p, point in enumerate(points):
+            single = convex_combination(point, pts)
+            assert (whole.status[p] == simplex.FEASIBLE) == single.feasible
+        assert set(whole.status) == {simplex.FEASIBLE, simplex.INFEASIBLE}
+
+    def test_skip_leaves_one_column_out(self):
+        state = np.random.default_rng(101)
+        for _ in range(20):
+            pts = state.dirichlet(np.ones(3), size=int(state.integers(2, 9)))
+            ends = np.arange(len(pts))
+            stack = convex_combinations(pts, pts, skip=ends)
+            assert (stack.x[ends, ends] == 0.0).all()
+            for j in ends:
+                assert (stack.status[j] == simplex.INFEASIBLE) == is_extreme_point(
+                    pts[j], np.delete(pts, j, axis=0)
+                )
+
+    def test_faults_are_reported_per_problem_with_the_messages_raised_alone(self):
+        # The second system is the tiny-pivot case that misses its equations.
+        a = np.array([[3.5, 0, 0, 0, 1e-9, 1], [0.25, -1, 0, 0, 2, 0], [-1, 0, 0, 0, 0, 0]])
+        stack_a = np.stack([np.eye(3, 6), a])
+        stack_b = np.stack([np.ones(3), a[:, 5]])
+        stack = simplex.solve_stack(stack_a, stack_b)
+        assert list(stack.status) == [simplex.FEASIBLE, simplex.MISSED_EQUATIONS]
+        with pytest.raises(SimplexCheckError, match=f"misses the equations by {stack.detail[1]:.3e}"):
+            phase_one_feasible(FeasibilityProblem(a, a[:, 5]))
+        capped = simplex.solve_stack(stack_a, stack_b, max_iterations=0)
+        assert list(capped.status) == [simplex.ITERATION_LIMIT] * 2
+        with pytest.raises(SimplexStalledError, match="stalled after 1 iterations"):
+            phase_one_feasible(FeasibilityProblem(a, a[:, 5]), max_iterations=0)
