@@ -55,7 +55,9 @@ def expand_in_vertices(
                 f"(infeasibility {result.infeasibility:.3e})"
             )
         coefficients[i] = result.x
-    return ConvexExpansion(coefficients)
+    # Solver entries a rounding error below zero pass its checks; convex
+    # weights have none.
+    return ConvexExpansion(np.maximum(coefficients, 0.0))
 
 
 def synthesize_vectors(expansion: ConvexExpansion, sums, r: int) -> np.ndarray:

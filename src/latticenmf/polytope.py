@@ -40,8 +40,9 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     """Extreme points of the unique values, in first-occurrence order.
 
     Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996) in
-    rounds. The confirmed set starts with the point maximizing each of the
-    directions ``+-e_j`` and ``points[0]`` minus the centroid. Each round
+    rounds. The confirmed set starts with the points of largest and of
+    smallest value in each coordinate, exact ties broken to the
+    lexicographic maximum (a vertex of the face they span). Each round
     tests every unique point not yet resolved against the hull of the
     confirmed points, in one stacked phase-one solve. A feasible test makes
     the point interior. An infeasible one yields a separating direction
@@ -85,8 +86,11 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
             picks.append(np.where(scores >= band, lex_rank[:, None], -1).argmax(axis=0))
         return np.concatenate(picks)
 
-    eye = np.eye(r)
-    confirmed[extreme_along(np.vstack([eye, -eye, points[0] - points.mean(axis=0)]))] = True
+    # The extremes of a coordinate are found exactly, so the seeds need no tie
+    # band; a band would admit near copies of a corner, against which later
+    # tests are ill-conditioned.
+    ends = np.hstack([points == points.max(axis=0), points == points.min(axis=0)])
+    confirmed[np.where(ends, lex_rank[:, None], -1).argmax(axis=0)] = True
     tested = []  # (interior points, points confirmed at their test, their weights on them)
     pending = np.flatnonzero(~confirmed)
     while pending.size:

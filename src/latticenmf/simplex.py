@@ -65,8 +65,7 @@ class StackResult:
 
     ``status`` is FEASIBLE, INFEASIBLE or the fault that stopped the
     problem. ``x`` is the solution found at a feasible optimum, checked or
-    not (zeros otherwise);
-    ``infeasibility``, ``iterations`` and ``dual`` are as in
+    not (zeros otherwise); ``infeasibility``, ``iterations`` and ``dual`` are as in
     FeasibilityResult. ``detail`` is the figure a fault's message names:
     the iteration count, the lowest entry or the residual.
     """
@@ -94,9 +93,10 @@ def solve_stack(
     ``_check_solution``. Nothing is raised for a problem; its status says
     how it ended.
     """
-    b = np.asarray(b, dtype=float)
-    (count, k), q = b.shape, np.shape(a)[-1]
-    a = np.broadcast_to(np.asarray(a, dtype=float), (count, k, q))
+    b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)
+    (count, k), q = b.shape, a.shape[-1]
+    if a.ndim == 2:
+        a = np.broadcast_to(a, (count, k, q))
     if max_iterations is None:
         max_iterations = 1000 + 100 * (q + k)
     out = StackResult(count, k, q)
@@ -130,7 +130,7 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
     optimal_parts = []  # (problems, tableaux, bases) that reached the optimum
     iteration = 0  # pivots made by every live problem
 
-    while live.size:
+    while True:
         reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :n])[:, 0]
         improving = reduced < -pivot_tol
         if skip is not None:
@@ -138,24 +138,24 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
         entering = improving.argmax(axis=1)  # Bland: smallest improving index
         column = tableau[rows, :, entering]
         admissible = column > pivot_tol
-        optimal = ~improving.any(axis=1)
-        pivoting = ~optimal & admissible.any(axis=1)
-        capped = pivoting & (iteration == max_iterations)
-        going = pivoting & ~capped
-        if not going.all():
+        going = improving.any(axis=1) & admissible.any(axis=1)
+        if iteration == max_iterations or not going.all():
             # The others end: at the optimum (verdicts below), for want of a
             # pivot row, or at a pivot past the iteration cap.
+            optimal = ~improving.any(axis=1)
+            capped = going & (iteration == max_iterations)
+            going &= ~capped
             ended = ~going
             problems = live[ended] + offset
             out.status[problems] = np.where(capped[ended], ITERATION_LIMIT, NO_PIVOT_ROW)
             out.iterations[problems] = out.detail[problems] = iteration + capped[ended]
             optimal_parts.append((live[optimal], tableau[optimal], basis[optimal]))
+            if not going.any():
+                break
             live, tableau, basis, pivot_tol, entering, column, admissible = (
                 v[going] for v in (live, tableau, basis, pivot_tol, entering, column, admissible)
             )
             rows = np.arange(live.size)
-            if not live.size:
-                break
         ratios = np.full(column.shape, np.inf)
         np.divide(tableau[:, :, -1], column, out=ratios, where=admissible)
         candidates = admissible & (ratios <= ratios.min(axis=1, keepdims=True) + pivot_tol)
@@ -170,28 +170,33 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
 
     # Verdicts at the optimum: phase-one duals of the sign-flipped rows mapped
     # back to the rows as given, the objective and the checked solution.
-    problems, tableau, basis = (np.concatenate(part) for part in zip(*optimal_parts))
+    if len(optimal_parts) > 1:
+        optimal_parts = [tuple(np.concatenate(part) for part in zip(*optimal_parts))]
+    problems, tableau, basis = optimal_parts[0]
     artificial = cost[basis][:, None, :]
-    out.dual[problems + offset] = (artificial @ tableau[:, :, q:n])[:, 0] * sign[problems]
-    objective = (artificial @ tableau[:, :, -1:])[:, 0, 0]
-    out.infeasibility[problems + offset] = objective
-    out.status[problems + offset] = INFEASIBLE
+    at = problems + offset
+    out.dual[at] = (artificial @ tableau[:, :, q:n])[:, 0] * sign[problems]
+    objective = out.infeasibility[at] = (artificial @ tableau[:, :, -1:])[:, 0, 0]
+    out.status[at] = INFEASIBLE
+    b_scale = np.abs(b[problems]).max(axis=1, initial=0.0)
+    solved = objective <= tol_feas * (1.0 + b_scale)
+    if not solved.any():
+        return
+    problems, at = problems[solved], at[solved]
     x = np.zeros((problems.size, n))
-    x[np.arange(problems.size)[:, None], basis] = tableau[:, :, -1]
-    solved = objective <= tol_feas * (1.0 + np.abs(b[problems]).max(axis=1, initial=0.0))
-    problems, x = problems[solved], x[solved, :q]
-    out.x[problems + offset] = x
-    out.status[problems + offset], out.detail[problems + offset] = _solution_faults(
-        a[problems], b[problems], x, a_scale[problems], tol_feas
+    x[np.arange(problems.size)[:, None], basis[solved]] = tableau[solved, :, -1]
+    out.x[at] = x = x[:, :q]
+    out.status[at], out.detail[at] = _solution_faults(
+        a[problems], b[problems], x, a_scale[problems], b_scale[solved], tol_feas
     )
 
 
-def _solution_faults(a, b, x, a_scale, tol_feas: float):
+def _solution_faults(a, b, x, a_scale, b_scale, tol_feas: float):
     """Status and detail per problem: FEASIBLE unless ``x[p]`` has an entry
-    below ``-tol_feas * (1 + max|b[p]|)`` or misses ``a[p] @ x == b[p]`` by
-    more than ``max(tol_feas, 1e-7) * (1 + max|b[p]|) * (1 + a_scale[p])``,
-    where ``a_scale[p]`` is ``max|a[p]|`` over the columns in use."""
-    b_scale = np.abs(b).max(axis=1, initial=0.0)
+    below ``-tol_feas * (1 + b_scale[p])`` or misses ``a[p] @ x == b[p]`` by
+    more than ``max(tol_feas, 1e-7) * (1 + b_scale[p]) * (1 + a_scale[p])``,
+    where ``b_scale[p]`` is ``max|b[p]|`` and ``a_scale[p]`` is ``max|a[p]|``
+    over the columns in use."""
     lowest = x.min(axis=1, initial=0.0)
     residual = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
     negative = lowest < -tol_feas * (1.0 + b_scale)
@@ -210,10 +215,10 @@ def _check_solution(a, b, x, tol_feas: float) -> None:
     """Raise SimplexCheckError unless ``x`` is nonnegative and solves
     ``a @ x == b`` within the solver's own bounds. A real check rather than
     an assert, so it also runs under ``python -O``."""
-    a = np.atleast_2d(a)
+    a, b = np.atleast_2d(a), np.ravel(b)
     status, detail = _solution_faults(
-        a[None], np.ravel(b)[None], np.ravel(x)[None].astype(float),
-        np.abs(a).max(initial=0.0)[None], tol_feas,
+        a[None], b[None], np.ravel(x)[None].astype(float),
+        np.abs(a).max(initial=0.0)[None], np.abs(b).max(initial=0.0)[None], tol_feas,
     )
     _raise_fault(int(status[0]), float(detail[0]))
 
@@ -251,13 +256,13 @@ def phase_one_feasible(
 
 def _hull_system(points, pts):
     """``(a, b)`` of the systems writing each row of ``points`` as a convex
-    combination of ``pts`` (q x r, or one q x r set per point): the
-    coordinates of ``pts`` over a row of ones, against the point and 1."""
+    combination of the rows of ``pts``: the coordinates of ``pts`` over a
+    row of ones, against the point and 1."""
     points, pts = np.atleast_2d(np.asarray(points, dtype=float)), np.asarray(pts, dtype=float)
-    if pts.shape[-1] != points.shape[1]:
+    if pts.shape[1] != points.shape[1]:
         raise ValueError("dimension mismatch between point and pts")
-    a = np.ones(pts.shape[:-2] + (pts.shape[-1] + 1, pts.shape[-2]))
-    a[..., :-1, :] = np.swapaxes(pts, -1, -2)
+    a = np.ones((pts.shape[1] + 1, pts.shape[0]))
+    a[:-1] = pts.T
     return a, np.column_stack([points, np.ones(len(points))])
 
 
@@ -275,9 +280,8 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
 
 def convex_combinations(points, pts, tol_feas: float = 1e-9, skip=None) -> StackResult:
     """``convex_combination`` for every row of ``points`` in one stacked
-    solve, each against ``pts`` (q x r, shared) or against its own set
-    ``pts[p]`` (P x q x r). With ``skip``, point ``p`` is tested against
-    the rows of ``pts`` other than ``pts[skip[p]]``."""
+    solve, all against the rows of ``pts``. With ``skip``, point ``p`` is
+    tested against the rows of ``pts`` other than ``pts[skip[p]]``."""
     a, b = _hull_system(points, pts)
     return solve_stack(a, b, tol_feas, skip=skip)
 

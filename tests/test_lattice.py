@@ -149,24 +149,24 @@ class TestExpansionPerDistinctValue:
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
     def test_row_leaning_on_a_dropped_point_gets_its_own_solve(self, monkeypatch):
-        # Seven corners and a copy of corner 3 moved 1e-8 of the way towards
-        # corner 2 (a set of the near-corner family in test_polytope). The
+        # Seven corners and a copy of corner 2 moved 8.8e-8 of the way towards
+        # corner 4 (a set of the near-corner family in test_polytope). The
         # hull pass confirms the copy, writes the interior corner 5 over it,
         # and its last pass drops the copy again. So corner 5 (unique 2) and
         # the copy (unique 4) have no hull row, and only they are solved.
         corners = np.array(
             [
-                [0.03557194121015846, 0.6185172912459792, 0.10174991967352394, 0.24416084787033837],
-                [0.05930876120821326, 0.11736019252527602, 0.690582460415225, 0.13274858585128585],
-                [0.7612146968838848, 0.1531814516050179, 0.023598648040993, 0.06200520347010443],
-                [0.7193008613227374, 0.06003282445052333, 0.04654606782501333, 0.17412024640172585],
-                [0.12401323747291164, 0.2496081435864023, 0.5817799513493495, 0.04459866759133667],
-                [0.5726863521984474, 0.1734712643063885, 0.07728530632104433, 0.17655707717411961],
-                [0.04019279093291695, 0.396198591216401, 0.2856893602524934, 0.2779192575981885],
+                [0.5847623969689478, 0.023708216238066415, 0.08850860680468654, 0.3030207799882991],
+                [0.24074895263048487, 0.013873137783653372, 0.47893490836894925, 0.26644300121691256],
+                [0.12175963979751016, 0.34431692770299305, 0.34464869209491683, 0.1892747404045798],
+                [0.0009934423365102012, 0.42595199902498404, 0.43350013891038597, 0.13955441972811966],
+                [0.5946558739637134, 0.33451498855185197, 0.008010096990605344, 0.06281904049382932],
+                [0.45521991049881866, 0.07530070899609838, 0.20145181075732913, 0.2680275697477538],
+                [0.08358914294013658, 0.09083494905667464, 0.38202187230494616, 0.4435540356982426],
             ]
         )
-        near = corners[3] + 1.0090907972447098e-08 * (corners[2] - corners[3])
-        points = np.vstack([corners, near])[[0, 4, 5, 1, 7, 6, 3, 2]]
+        near = corners[2] + 8.752560951830127e-08 * (corners[4] - corners[2])
+        points = np.vstack([corners, near])[[6, 4, 5, 2, 7, 0, 1, 3]]
         table = basic_function(points.T)
         rng = distinct_values(table)
         vs = reorder_vertices(hull_vertices(rng))
