@@ -156,18 +156,22 @@ def run(argv: list[str] | None = None) -> int:
         return 1
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    extension = "csv" if fmt == CSV_FORMAT else "mtx"
-    write_matrix(out_dir / f"F.{extension}", result.F, fmt)
-    write_matrix(out_dir / f"V.{extension}", result.V, fmt)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        extension = "csv" if fmt == CSV_FORMAT else "mtx"
+        write_matrix(out_dir / f"F.{extension}", result.F, fmt)
+        write_matrix(out_dir / f"V.{extension}", result.V, fmt)
 
-    report = build_report(result)
-    if args.report == "json":
-        (out_dir / "report.json").write_text(
-            json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
-        )
-    else:
-        (out_dir / "report.txt").write_text(render_text_report(report), encoding="utf-8")
+        report = build_report(result)
+        if args.report == "json":
+            (out_dir / "report.json").write_text(
+                json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
+            )
+        else:
+            (out_dir / "report.txt").write_text(render_text_report(report), encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write {out_dir}: {err}", file=sys.stderr)
+        return 1
 
     print(_STATUS[result.classification])
     print(f"p={result.p} r={result.r} mu={result.mu} residual_inf={result.residual_inf:.3e}")

@@ -24,8 +24,8 @@ def detect_format(path) -> str:
     raise MatrixParseError(f"cannot infer matrix format from {path}; pass --format")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# Text of one value that reads back as the same float.
+_fmt = "{:.17g}".format
 
 
 def read_matrix(path, fmt: str | None = None) -> np.ndarray:
@@ -49,44 +49,33 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
 
 
 def _read_csv(path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            values = []
-            for token in text.split(","):
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise MatrixParseError(
-                        f"{path}: line {line_no}: invalid number {token.strip()!r}"
-                    ) from None
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise MatrixParseError(
-                    f"{path}: line {line_no}: expected {width} values, found {len(values)}"
-                )
-            rows.append(values)
+        lines = fh.read().split("\n")
+    rows = [line for line in lines if line.strip()]
     if not rows:
         raise MatrixParseError(f"{path}: no matrix rows found")
-    return np.array(rows, dtype=float)
+    width = rows[0].count(",") + 1
+    try:
+        values = list(map(float, ",".join(rows).split(",")))
+    except ValueError:
+        values = None
+    if values is None or any(row.count(",") + 1 != width for row in rows):
+        raise _first_fault(path, lines, 1, ",", width)
+    return np.array(values, dtype=float).reshape(len(rows), width)
 
 
 def _write_csv(path, a: np.ndarray) -> None:
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in a.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(text)
 
 
 def _read_mm(path) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise MatrixParseError(f"{path}: empty file")
+    lines = text.split("\n")
     header = lines[0].split()
     expected = _MM_HEADER.split()
     if len(header) != 5 or header[0] != expected[0]:
@@ -98,33 +87,32 @@ def _read_mm(path) -> np.ndarray:
         raise MatrixParseError(f"{path}: line 1: unsupported field {header[3]!r}")
 
     shape: tuple[int, int] | None = None
-    values: list[float] = []
     for line_no, line in enumerate(lines[1:], start=2):
         text = line.strip()
         if not text or text.startswith("%"):
             continue
-        if shape is None:
-            parts = text.split()
-            if len(parts) != 2:
-                raise MatrixParseError(f"{path}: line {line_no}: expected 'rows cols'")
-            try:
-                shape = (int(parts[0]), int(parts[1]))
-            except ValueError:
-                raise MatrixParseError(
-                    f"{path}: line {line_no}: invalid dimensions {text!r}"
-                ) from None
-            if shape[0] <= 0 or shape[1] <= 0:
-                raise MatrixParseError(f"{path}: line {line_no}: dimensions must be positive")
-            continue
-        for token in text.split():
-            try:
-                values.append(float(token))
-            except ValueError:
-                raise MatrixParseError(
-                    f"{path}: line {line_no}: invalid number {token!r}"
-                ) from None
+        parts = text.split()
+        if len(parts) != 2:
+            raise MatrixParseError(f"{path}: line {line_no}: expected 'rows cols'")
+        try:
+            shape = (int(parts[0]), int(parts[1]))
+        except ValueError:
+            raise MatrixParseError(
+                f"{path}: line {line_no}: invalid dimensions {text!r}"
+            ) from None
+        if shape[0] <= 0 or shape[1] <= 0:
+            raise MatrixParseError(f"{path}: line {line_no}: dimensions must be positive")
+        break
     if shape is None:
         raise MatrixParseError(f"{path}: missing dimension line")
+    # The body is parsed in one pass; only a failure goes back line by line.
+    body = "\n".join(lines[line_no:])
+    if "%" in body:  # comment lines
+        body = "\n".join(line for line in lines[line_no:] if not line.lstrip().startswith("%"))
+    try:
+        values = list(map(float, body.split()))
+    except ValueError:
+        raise _first_fault(path, lines[line_no:], line_no + 1, None) from None
     n, m = shape
     if len(values) != n * m:
         raise MatrixParseError(f"{path}: expected {n * m} values, found {len(values)}")
@@ -132,11 +120,31 @@ def _read_mm(path) -> np.ndarray:
     return np.array(values, dtype=float).reshape((n, m), order="F")
 
 
+def _first_fault(path, lines, first_line_no: int, sep, width: int | None = None):
+    """The MatrixParseError of the first line in ``lines`` (numbered from
+    ``first_line_no``) with a token that is not a number or, given ``width``,
+    a count of ``sep``-separated values other than ``width``. Blank lines
+    are skipped, and so are ``%`` comment lines when ``sep`` is whitespace."""
+    for line_no, line in enumerate(lines, start=first_line_no):
+        text = line.strip()
+        if not text or (sep is None and text.startswith("%")):
+            continue
+        tokens = text.split(sep)
+        for token in tokens:
+            try:
+                float(token)
+            except ValueError:
+                return MatrixParseError(f"{path}: line {line_no}: invalid number {token.strip()!r}")
+        if width is not None and len(tokens) != width:
+            return MatrixParseError(
+                f"{path}: line {line_no}: expected {width} values, found {len(tokens)}"
+            )
+    return MatrixParseError(f"{path}: cannot parse the matrix body")
+
+
 def _write_mm(path, a: np.ndarray) -> None:
     n, m = a.shape
+    # The array body is stored column-major.
+    body = "".join(map("{:.17g}\n".format, a.ravel(order="F").tolist()))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_MM_HEADER + "\n")
-        fh.write(f"{n} {m}\n")
-        for j in range(m):
-            for i in range(n):
-                fh.write(_fmt(a[i, j]) + "\n")
+        fh.write(f"{_MM_HEADER}\n{n} {m}\n{body}")

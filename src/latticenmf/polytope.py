@@ -42,21 +42,38 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996) in
     rounds. The confirmed set starts with the points of largest and of
     smallest value in each coordinate, exact ties broken to the
-    lexicographic maximum (a vertex of the face they span). Each round
-    tests every unique point not yet resolved against the hull of the
-    confirmed points, in one stacked phase-one solve. A feasible test makes
-    the point interior. An infeasible one yields a separating direction
-    ``w`` (the phase-one dual); the point maximizing ``w``, near-ties broken
-    to the lexicographic maximum, lies outside that hull and maximizes ``w``
-    over all points, so it is extreme. All picks of a round are confirmed
-    together, and the points not yet resolved are tested again. A test that
-    fails is retried in the next round; a round whose tests give no pick
-    solves the first failing one alone, which raises its fault.
+    lexicographic maximum (a vertex of the face they span), and with the
+    points certified (below) along the direction from the centroid to each
+    point. Each round tests every unique point not yet resolved against the
+    hull of the confirmed points, in one stacked phase-one solve. A
+    feasible test makes the point interior. An infeasible one yields a
+    separating direction ``w`` (the phase-one dual); the point maximizing
+    ``w``, near-ties broken to the lexicographic maximum, lies outside that
+    hull and maximizes ``w`` over all points, so it is extreme. All picks of
+    a round are confirmed together, and the points not yet resolved are
+    tested again. A test that fails is retried in the next round; a round
+    whose tests give no pick solves the first failing one alone, which
+    raises its fault.
+
+    Certificates. Let ``p`` beat every other point on ``points @ w`` by
+    ``g > 0`` and let ``c = -max_{q != p} w.q``. Then ``y = (w, c) /
+    |(w, c)|_inf`` is a dual of the system writing ``p`` over any subset of
+    the other points: ``|y| <= 1``, ``y`` on each column ``(q, 1)`` is
+    ``w.q + c <= 0``, and ``y`` on the right-hand side ``(p, 1)`` is ``g /
+    |(w, c)|_inf``, a lower bound on the phase-one objective. The solve
+    declares a point feasible only at an objective of at most ``tol_feas *
+    (1 + max(1, max|p|))``, which is at most ``2 * tie_tol``; so ``g > 2 *
+    tie_tol * |(w, c)|_inf`` certifies that every such solve finds ``p``
+    extreme. On the simplex ``|c| <= max|w|``, and the test is ``g > 2 *
+    tie_tol * max|w|`` against the threshold ``2 * tol_feas``. Every
+    direction scored is checked (``+-e_j``, those from the centroid and the
+    rounds' duals), the gap taken over all points.
 
     A near-tie can confirm a point that is not extreme (one just inside a
     vertex on an edge leaving the maximal face). By the end every point lies
     in the hull of the confirmed ones, so a last stacked solve keeps exactly
-    the confirmed points outside the hull of the other confirmed points.
+    the uncertified confirmed points outside the hull of the other confirmed
+    points; with none uncertified, nothing is solved.
 
     An interior point's feasible test gives its convex weights over the
     points confirmed by then: ``unique_coefficients``, with NaN rows where
@@ -70,27 +87,36 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     lex_rank = np.empty(mu, dtype=int)
     lex_rank[np.lexsort(points.T[::-1])] = np.arange(mu)
     confirmed = np.zeros(mu, dtype=bool)
+    certified = np.zeros(mu, dtype=bool)
 
-    def extreme_along(directions) -> np.ndarray:
-        """The unconfirmed point maximizing ``points @ w`` for each row ``w``."""
+    def extreme_along(directions, pick: bool = True) -> np.ndarray | None:
+        """Certify the winners along each row ``w`` that beat the others by
+        the gap; with ``pick``, return the unconfirmed point maximizing
+        ``points @ w`` for each row."""
         picks = []
         step = max(1, _SCORE_ENTRIES // mu)
         for start in range(0, len(directions), step):
             w = directions[start : start + step]
             scores = points @ w.T
+            winners, proven = _certify(scores, w, tie_tol)
+            certified[winners[proven]] = True
+            if not pick:
+                continue
             scores[confirmed] = -np.inf
             # Score gaps grow with w, so the tie band does too.
             band = scores.max(axis=0) - tie_tol * np.abs(w).max(axis=1)
             # The lexicographic maximum of exact maximizers is a vertex of the
             # face they span; within the band it nearly always is.
             picks.append(np.where(scores >= band, lex_rank[:, None], -1).argmax(axis=0))
-        return np.concatenate(picks)
+        return np.concatenate(picks) if pick else None
 
     # The extremes of a coordinate are found exactly, so the seeds need no tie
     # band; a band would admit near copies of a corner, against which later
     # tests are ill-conditioned.
     ends = np.hstack([points == points.max(axis=0), points == points.min(axis=0)])
     confirmed[np.where(ends, lex_rank[:, None], -1).argmax(axis=0)] = True
+    extreme_along(np.vstack([np.eye(r), -np.eye(r), points - points.mean(axis=0)]), pick=False)
+    confirmed |= certified
     tested = []  # (interior points, points confirmed at their test, their weights on them)
     pending = np.flatnonzero(~confirmed)
     while pending.size:
@@ -114,11 +140,14 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         pending = pending[~resolved & ~confirmed[pending]]
 
     found = np.flatnonzero(confirmed)
-    ends = np.arange(found.size)
-    last = convex_combinations(points[found], points[found], tol_feas, skip=ends)
-    kept = last.status == INFEASIBLE
-    for j in np.flatnonzero((last.status != FEASIBLE) & ~kept):
-        kept[j] = is_extreme_point(points[found[j]], points[found[ends != j]], tol_feas)
+    kept = certified[found]
+    doubt = np.flatnonzero(~kept)
+    if doubt.size:
+        last = convex_combinations(points[found[doubt]], points[found], tol_feas, skip=doubt)
+        kept[doubt] = last.status == INFEASIBLE
+        for j in doubt[(last.status != FEASIBLE) & (last.status != INFEASIBLE)]:
+            others = found[np.arange(found.size) != j]
+            kept[j] = is_extreme_point(points[found[j]], points[others], tol_feas)
     keep = found[kept]
     weights = np.zeros((mu, found.size))
     weights[found, np.arange(found.size)] = 1.0
@@ -132,6 +161,21 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         r=r,
         unique_coefficients=coefficients,
     )
+
+
+def _certify(scores, w, tie_tol: float):
+    """The point of largest score in each column of ``scores`` (``points @
+    w.T``), and whether it beats every other point by more than ``2 *
+    tie_tol * |(w, c)|_inf``, ``c`` minus the runner-up's score: the gap
+    that proves it extreme (see ``hull_vertices``). ``scores`` is restored."""
+    columns = np.arange(scores.shape[1])
+    winners = scores.argmax(axis=0)
+    top = scores[winners, columns]
+    scores[winners, columns] = -np.inf
+    runner_up = scores.max(axis=0)
+    scores[winners, columns] = top
+    norm = np.maximum(np.abs(w).max(axis=1), np.abs(runner_up))
+    return winners, top - runner_up > 2.0 * tie_tol * norm
 
 
 def segment_vertices(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> VertexSet:

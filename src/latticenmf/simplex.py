@@ -1,6 +1,7 @@
 """Phase-one simplex for equality-constrained nonnegative feasibility.
 
-Dense tableau with Bland's smallest-index rule, run on a stack of problems
+Dense tableau with Bland's smallest-index rule (over the columns that
+give a sound pivot while there are any), run on a stack of problems
 at once: every problem pivots on its own, and one pass of the loop makes one
 pivot in each problem still running. The instances solved here are tiny (a
 handful of constraint rows over at most a few hundred variables), so
@@ -31,6 +32,10 @@ _FAULTS = {
 # Tableau entries solved at once; a longer stack is solved in slices.
 _SLICE_ENTRIES = 1 << 18
 
+# An entering column is sound when its largest entry is at least this share
+# of ``1 + max|a|``.
+_PIVOT_RATIO = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityProblem:
@@ -45,7 +50,7 @@ class FeasibilityResult:
     """Outcome of phase one.
 
     ``dual`` holds the final phase-one row prices ``y``, one per equation.
-    They satisfy ``y @ a_eq <= 0`` (up to the pivot tolerance) and
+    They satisfy ``y @ a_eq <= 0`` (up to k times the pivot tolerance) and
     ``y @ b_eq == infeasibility``, so when the system is infeasible ``y``
     certifies it: no ``x >= 0`` can reach a positive ``y @ b_eq``.
     """
@@ -125,14 +130,19 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
     basis = np.tile(np.arange(q, n), (count, 1))
     cost = np.zeros(n)
     cost[q:] = 1.0
-    pivot_tol = 1e-11 * (1.0 + a_scale[:, None])
+    scale = 1.0 + a_scale
+    pivot_tol = 1e-11 * scale[:, None]
+    # Below -k * pivot_tol, one of the k rows has an entry above pivot_tol,
+    # so an improving column always has a pivot row.
+    price_tol = -k * pivot_tol
+    sound_floor = _PIVOT_RATIO * scale
     live = rows = np.arange(count)  # live: the problem of each working tableau
     optimal_parts = []  # (problems, tableaux, bases) that reached the optimum
     iteration = 0  # pivots made by every live problem
 
     while True:
         reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :n])[:, 0]
-        improving = reduced < -pivot_tol
+        improving = reduced < price_tol
         if skip is not None:
             improving[rows, skip[live]] = False
         entering = improving.argmax(axis=1)  # Bland: smallest improving index
@@ -152,19 +162,45 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
             optimal_parts.append((live[optimal], tableau[optimal], basis[optimal]))
             if not going.any():
                 break
-            live, tableau, basis, pivot_tol, entering, column, admissible = (
-                v[going] for v in (live, tableau, basis, pivot_tol, entering, column, admissible)
+            live, tableau, basis, pivot_tol, price_tol, sound_floor = (
+                v[going] for v in (live, tableau, basis, pivot_tol, price_tol, sound_floor)
+            )
+            improving, entering, column, admissible = (
+                v[going] for v in (improving, entering, column, admissible)
             )
             rows = np.arange(live.size)
+        # A pivot on an entry tiny beside the matrix scales the basic values
+        # by its inverse: where Bland's column has only such entries, take the
+        # smallest improving index with a sound one, if there is any.
+        top = column.max(axis=1)
+        weak = top < sound_floor
+        if weak.any():
+            weak = np.flatnonzero(weak)
+            sound = improving[weak] & (
+                tableau[weak, :, :n].max(axis=1) >= sound_floor[weak, None]
+            )
+            weak, sound = weak[sound.any(axis=1)], sound[sound.any(axis=1)]
+            entering[weak] = sound.argmax(axis=1)
+            column[weak] = tableau[weak, :, entering[weak]]
+            admissible[weak] = column[weak] > pivot_tol[weak]
+            top[weak] = column[weak].max(axis=1)
         ratios = np.full(column.shape, np.inf)
         np.divide(tableau[:, :, -1], column, out=ratios, where=admissible)
-        candidates = admissible & (ratios <= ratios.min(axis=1, keepdims=True) + pivot_tol)
+        # Ties within the pivot tolerance go to Bland's rule. The band narrows
+        # with the column's largest entry, so that no tie pushes another row's
+        # right-hand side below -pivot_tol.
+        band = pivot_tol[:, 0] / np.maximum(top, 1.0)
+        candidates = admissible & (ratios <= (ratios.min(axis=1) + band)[:, None])
         leaving = np.where(candidates, basis, n).argmin(axis=1)
         pivot_row = tableau[rows, leaving] / column[rows, leaving, None]
         # Eliminate the entering column from every other row, all at once.
         column[rows, leaving] = 0.0
         tableau -= column[:, :, None] * pivot_row[:, None, :]
         tableau[rows, leaving] = pivot_row
+        # Basic values below 0 are rounding, or at most pivot_tol in the rows
+        # the ratio test weighs; round them up to 0 so that no later ratio is
+        # negative. The checks at the end still see any equation this misses.
+        np.maximum(tableau[:, :, -1], 0.0, out=tableau[:, :, -1])
         basis[rows, leaving] = entering
         iteration += 1
 
@@ -271,8 +307,8 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
     of ``pts``: weights ``x >= 0`` with ``x @ pts == point`` and unit total.
 
     The dual of an infeasible result is ``(w, c)`` with ``w @ point + c > 0``
-    and ``w @ q + c <= 0`` (up to the pivot tolerance) for every row ``q``
-    of ``pts``, i.e. ``w`` separates ``point`` from their hull.
+    and ``w @ q + c <= 0`` (up to k times the pivot tolerance) for every
+    row ``q`` of ``pts``, i.e. ``w`` separates ``point`` from their hull.
     """
     a, b = _hull_system(np.ravel(point), np.atleast_2d(pts))
     return phase_one_feasible(FeasibilityProblem(a, b[0]), tol_feas)

@@ -138,3 +138,11 @@ def test_unknown_flag_exits_one(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "latticenmf" in capsys.readouterr().out
+
+
+def test_unwritable_out_dir_exits_one(tmp_path, capsys):
+    source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    assert run([str(source), "--out-dir", str(blocker / "out")]) == 1
+    assert "error: cannot write" in capsys.readouterr().err

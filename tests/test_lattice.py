@@ -149,24 +149,24 @@ class TestExpansionPerDistinctValue:
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
     def test_row_leaning_on_a_dropped_point_gets_its_own_solve(self, monkeypatch):
-        # Seven corners and a copy of corner 2 moved 8.8e-8 of the way towards
-        # corner 4 (a set of the near-corner family in test_polytope). The
-        # hull pass confirms the copy, writes the interior corner 5 over it,
-        # and its last pass drops the copy again. So corner 5 (unique 2) and
+        # Seven corners and a copy of corner 5 moved 3.9e-8 of the way towards
+        # corner 6 (a set of the near-corner family in test_polytope). The
+        # hull pass confirms the copy, writes the interior corner 2 over it,
+        # and its last pass drops the copy again. So corner 2 (unique 2) and
         # the copy (unique 4) have no hull row, and only they are solved.
         corners = np.array(
             [
-                [0.5847623969689478, 0.023708216238066415, 0.08850860680468654, 0.3030207799882991],
-                [0.24074895263048487, 0.013873137783653372, 0.47893490836894925, 0.26644300121691256],
-                [0.12175963979751016, 0.34431692770299305, 0.34464869209491683, 0.1892747404045798],
-                [0.0009934423365102012, 0.42595199902498404, 0.43350013891038597, 0.13955441972811966],
-                [0.5946558739637134, 0.33451498855185197, 0.008010096990605344, 0.06281904049382932],
-                [0.45521991049881866, 0.07530070899609838, 0.20145181075732913, 0.2680275697477538],
-                [0.08358914294013658, 0.09083494905667464, 0.38202187230494616, 0.4435540356982426],
+                [0.3497709979246678, 0.029163078105649793, 0.5350852799594962, 0.08598064401018629],
+                [0.8707280128487552, 0.04259711252028567, 0.06643109848576657, 0.020243776145192606],
+                [0.5148337631401292, 0.08465356373934631, 0.21249748520936276, 0.18801518791116187],
+                [0.2858532542014088, 0.17792468662123986, 0.3655774759980823, 0.17064458317926903],
+                [0.15827711775386738, 0.24538072172187858, 0.016614037226987965, 0.5797281232972661],
+                [0.17480808445780122, 0.10683166710396849, 0.39534185955372597, 0.32301838888450435],
+                [0.21057070121986396, 0.06342993732347534, 0.6343443624273325, 0.09165499902932817],
             ]
         )
-        near = corners[2] + 8.752560951830127e-08 * (corners[4] - corners[2])
-        points = np.vstack([corners, near])[[6, 4, 5, 2, 7, 0, 1, 3]]
+        near = corners[5] + 3.911209332128085e-08 * (corners[6] - corners[5])
+        points = np.vstack([corners, near])[[6, 3, 2, 4, 7, 1, 5, 0]]
         table = basic_function(points.T)
         rng = distinct_values(table)
         vs = reorder_vertices(hull_vertices(rng))

@@ -100,3 +100,19 @@ def test_format_override(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("%%MatrixMarket matrix array real general\n1 2\n7\n8\n")
     assert np.array_equal(read_matrix(path, MM_FORMAT), [[7, 8]])
+
+
+def test_mm_bad_token_on_a_later_line_names_it(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix array real general\n% note\n2 3\n1\n2\n\n3\n% mid\n4 5\nx\n"
+    )
+    with pytest.raises(MatrixParseError, match="line 10: invalid number 'x'"):
+        read_matrix(path)
+
+
+def test_csv_bad_token_on_a_later_line_names_it(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2\n\n3,4\n5, y\n")
+    with pytest.raises(MatrixParseError, match="line 4: invalid number 'y'"):
+        read_matrix(path)

@@ -336,7 +336,8 @@ class TestReorderVertices:
 def _point_by_point_pass(rng, tol_feas=1e-9):
     """Unique indices of the vertices found by the hull pass that tests one
     point at a time, each until it is interior or confirmed, from the single
-    start direction point 0 minus the centroid, with the same last pass."""
+    start direction point 0 minus the centroid, then a last pass that drops,
+    one at a time, each confirmed point in the hull of those still kept."""
     points = rng.unique_points
     tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
     confirmed = np.zeros(len(points), dtype=bool)
@@ -354,8 +355,15 @@ def _point_by_point_pass(rng, tol_feas=1e-9):
             if test.feasible:
                 break
             confirmed[extreme_along(test.dual[:-1])] = True
-    found = np.flatnonzero(confirmed)
-    return [j for j in found if is_extreme_point(points[j], points[found[found != j]], tol_feas)]
+    # One confirmed point at a time, against the ones still kept: a corner and
+    # its near copy can each lie within tolerance of the other's hull, and
+    # testing them together would drop both.
+    found = list(np.flatnonzero(confirmed))
+    for j in list(found):
+        others = [i for i in found if i != j]
+        if not is_extreme_point(points[j], points[others], tol_feas):
+            found.remove(j)
+    return found
 
 
 def _rounds_pass(rng):
@@ -370,6 +378,43 @@ def _small_sets(state, count):
         yield distinct_values(basic_function(points.T))
 
 
+def _near_corner_sets(state, count):
+    """Corners plus one point 1e-8..1e-7 along every edge from each corner,
+    each carried by a column with a random scale."""
+    for _ in range(count):
+        r = int(state.integers(3, 6))
+        corners = state.dirichlet(np.ones(r), size=int(state.integers(r, 7)))
+        near = [
+            corners[i] + state.uniform(1e-8, 1e-7) * (corners[j] - corners[i])
+            for i, j in permutations(range(len(corners)), 2)
+        ]
+        points = np.vstack([corners, near])[state.permutation(len(corners) * len(corners))]
+        scales = state.uniform(0.5, 20.0, size=len(points))
+        yield distinct_values(basic_function((points * scales[:, None]).T))
+
+
+def _recording_certificates(monkeypatch):
+    """Patch ``hull_vertices`` to record each certificate it finds, as the
+    unique index of the point and the direction, in ``record["certified"]``,
+    and the points confirmed at its first stacked solve in ``record["seeded"]``."""
+    record = {"certified": [], "seeded": None}
+    certify, stacked = latticenmf.polytope._certify, latticenmf.polytope.convex_combinations
+
+    def recorded_certify(scores, w, tie_tol):
+        winners, proven = certify(scores, w, tie_tol)
+        record["certified"].extend(zip(winners[proven].tolist(), w[proven]))
+        return winners, proven
+
+    def recorded_stack(points, pts, *args, **kwargs):
+        if record["seeded"] is None:
+            record["seeded"] = {tuple(p) for p in pts}
+        return stacked(points, pts, *args, **kwargs)
+
+    monkeypatch.setattr(latticenmf.polytope, "_certify", recorded_certify)
+    monkeypatch.setattr(latticenmf.polytope, "convex_combinations", recorded_stack)
+    return record
+
+
 class TestRounds:
     @staticmethod
     def _counting(monkeypatch):
@@ -381,7 +426,10 @@ class TestRounds:
         )
 
         def counted_stack(points, pts, tol_feas=1e-9, skip=None):
-            calls["rounds" if skip is None else "last"].append({tuple(p) for p in points})
+            tested = {tuple(p) for p in points}
+            calls["rounds"].append(tested) if skip is None else calls["last"].append(
+                (tested, {tuple(p) for p in pts})
+            )
             return stacked(points, pts, tol_feas, skip)
 
         def counted_kernel(*args, **kwargs):
@@ -398,17 +446,39 @@ class TestRounds:
         return calls
 
     def test_one_kernel_call_per_round_and_one_for_the_last_pass(self, monkeypatch):
+        # The last pass runs only when a confirmed point is uncertified, and
+        # then tests exactly the uncertified confirmed points (against all
+        # confirmed points). Every certified point is kept.
         state = np.random.default_rng(139)
-        for rng in _small_sets(state, 30):
+        with_last = without_last = 0
+        sets = [(False, rng) for rng in _small_sets(state, 30)]
+        sets += [(True, rng) for rng in _near_corner_sets(state, 30)]
+        for near_corner, rng in sets:
             calls = self._counting(monkeypatch)
+            record = _recording_certificates(monkeypatch)
             vs = hull_vertices(rng)
-            rounds, (last,) = calls["rounds"], calls["last"]
-            assert calls["kernel"] == len(rounds) + 1
+            rounds, last = calls["rounds"], calls["last"]
+            certified = {tuple(rng.unique_points[p]) for p, _ in record["certified"]}
+            kept = {tuple(v) for v in vs.vertices}
+            assert calls["kernel"] == len(rounds) + len(last)
             assert calls["single"] == 0
-            # Each round tests a strict subset of the points of the round before.
-            assert all(later < earlier for earlier, later in zip(rounds, rounds[1:]))
-            assert {tuple(v) for v in vs.vertices} <= last
+            # Each round tests a strict subset of the points of the round before;
+            # near corners, a round's picks can all be points found interior before.
+            assert all(
+                later < earlier or near_corner and later == earlier
+                for earlier, later in zip(rounds, rounds[1:])
+            )
+            assert certified <= kept
+            if last:
+                ((tested, confirmed),) = last
+                assert tested and tested == confirmed - certified
+                assert kept <= confirmed
+                with_last += 1
+            else:
+                assert kept == certified
+                without_last += 1
             monkeypatch.undo()
+        assert with_last and without_last
 
     def test_failed_tests_are_settled_one_at_a_time(self, monkeypatch):
         # Every stacked test reports a fault: each round then settles its first
@@ -456,16 +526,7 @@ class TestRounds:
         state = np.random.default_rng(151)
         raised = {"point_by_point": 0, "rounds": 0}
         both = 0
-        for _ in range(100):
-            r = int(state.integers(3, 6))
-            corners = state.dirichlet(np.ones(r), size=int(state.integers(r, 7)))
-            near = [
-                corners[i] + state.uniform(1e-8, 1e-7) * (corners[j] - corners[i])
-                for i, j in permutations(range(len(corners)), 2)
-            ]
-            points = np.vstack([corners, near])[state.permutation(len(corners) * len(corners))]
-            scales = state.uniform(0.5, 20.0, size=len(points))
-            rng = distinct_values(basic_function((points * scales[:, None]).T))
+        for rng in _near_corner_sets(state, 100):
             found = {}
             for name, run in (("point_by_point", _point_by_point_pass), ("rounds", _rounds_pass)):
                 try:
@@ -481,3 +542,59 @@ class TestRounds:
             assert distance.min(axis=0).max() <= 1e-7 and distance.min(axis=1).max() <= 1e-7
         assert raised["rounds"] <= raised["point_by_point"]
         assert both >= 80
+
+
+class TestCertificates:
+    @staticmethod
+    def _runs(monkeypatch, seed):
+        """``(rng, record, vertices)`` of ``hull_vertices`` on Dirichlet and
+        near-corner sets (see ``_recording_certificates``); ``vertices`` is
+        None where the pass raises, and what it recorded before still counts."""
+        state = np.random.default_rng(seed)
+        for rng in [*_small_sets(state, 30), *_near_corner_sets(state, 30)]:
+            record = _recording_certificates(monkeypatch)
+            try:
+                vertices = {tuple(v) for v in hull_vertices(rng).vertices}
+            except SimplexCheckError:
+                vertices = None
+            monkeypatch.undo()
+            yield rng, record, vertices
+
+    def test_certified_points_are_infeasible_by_the_certified_margin(self, monkeypatch):
+        # A point that beats every other one on w by g has a phase-one
+        # objective of at least g / |(w, c)|_inf against all the others,
+        # where c is minus the runner-up's score, and that bound is above
+        # the objective at which the solver declares a feasible point.
+        checked = 0
+        for rng, record, _ in self._runs(monkeypatch, 157):
+            points = rng.unique_points
+            for p, w in record["certified"]:
+                others = np.delete(points, p, axis=0)
+                c = -(others @ w).max()
+                bound = (points[p] @ w + c) / max(np.abs(w).max(), abs(c))
+                assert bound > 1e-9 * (1.0 + max(1.0, np.abs(points[p]).max()))
+                test = convex_combination(points[p], others)
+                assert not test.feasible
+                assert test.infeasibility >= bound * (1.0 - 1e-9)
+                checked += 1
+        assert checked >= 500
+
+    def test_seed_pass_confirms_only_vertices_of_the_point_by_point_pass(self, monkeypatch):
+        # The points confirmed before the first solve, other than the
+        # extremes of a coordinate, come from the pass along the directions
+        # from the centroid: all certified, all kept by the point-by-point pass.
+        compared = from_centroid = 0
+        for rng, record, vertices in self._runs(monkeypatch, 163):
+            points = rng.unique_points
+            seeded = record["seeded"] if record["seeded"] is not None else vertices
+            ends = (points == points.max(axis=0)) | (points == points.min(axis=0))
+            along_centroid = seeded - {tuple(p) for p in points[ends.any(axis=1)]}
+            assert along_centroid <= {tuple(points[p]) for p, _ in record["certified"]}
+            try:
+                expected = _point_by_point_pass(rng)
+            except SimplexCheckError:
+                continue
+            assert along_centroid <= {tuple(p) for p in points[expected]}
+            compared += 1
+            from_centroid += len(along_centroid)
+        assert compared >= 50 and from_centroid >= 30

@@ -77,6 +77,27 @@ class TestPhaseOne:
         assert result.feasible
         _check_solution(a, b, result.x, tol=1e-8)
 
+    @pytest.mark.parametrize(
+        "a, x0",
+        [
+            # A tie in the ratio test once pushed another row far below zero.
+            ([[1e-7, 0, 1e-7], [1e-7, 1e-7, 1e-7], [1e-7, 1, 1e-7]], [1e-7, 1e-7, 1e-7]),
+            # Column sums above the pivot tolerance, every entry below it.
+            ([[1e-11, 1e-11], [1e-11, 1e-11], [1e-11, 1e-11]], [0, 0]),
+            # Pivots on an entry 1e-7..1e-9 sent the solution to 1e7..1e9.
+            ([[3.5, 0, 1e-9, 1], [0.25, -1, 2, 0], [-1, 0, 0, 0]], [0, 0, 0, 1]),
+            ([[0, 2, 0, 1, 1, 1], [1e-8, 1, 0, 1, 1, 1], [-3, 1, 1, 1, 1, 1]], [1] * 6),
+            ([[1e-11, 0], [1.1920929e-07, 1], [0, 0]], [1, 1]),
+            ([[1, 1e-7, 1e-7], [1e-7, 1e-11, 1e-7], [1e-7, 1e-7, 1]], [1, 1, 1]),
+        ],
+    )
+    def test_tiny_entries_are_found_feasible(self, a, x0):
+        a = np.array(a, dtype=float)
+        b = a @ np.array(x0, dtype=float)
+        result = phase_one_feasible(FeasibilityProblem(a, b))
+        assert result.feasible
+        _check_solution(a, b, result.x, tol=1e-8)
+
     def test_nonnegative_matrix_with_negative_rhs_is_infeasible(self):
         rng = np.random.default_rng(23)
         for _ in range(25):
@@ -255,15 +276,20 @@ class TestSolveStack:
                 )
 
     def test_faults_are_reported_per_problem_with_the_messages_raised_alone(self):
-        # The second system is the tiny-pivot case that misses its equations.
-        a = np.array([[3.5, 0, 0, 0, 1e-9, 1], [0.25, -1, 0, 0, 2, 0], [-1, 0, 0, 0, 0, 0]])
+        # The second system needs its entry 5e-11, below the pivot tolerance,
+        # to meet its first equation. Its improving columns are all tiny
+        # beside the entry 5, so the pivot is on 2e-10 and the solution
+        # misses that equation.
+        a = np.zeros((3, 6))
+        a[0, 0], a[1, 0], a[1, 1], a[2, 2] = 5e-11, 2e-10, 5e-6, 5.0
+        b = a[:, 0] + a[:, 1]
         stack_a = np.stack([np.eye(3, 6), a])
-        stack_b = np.stack([np.ones(3), a[:, 5]])
+        stack_b = np.stack([np.ones(3), b])
         stack = simplex.solve_stack(stack_a, stack_b)
         assert list(stack.status) == [simplex.FEASIBLE, simplex.MISSED_EQUATIONS]
         with pytest.raises(SimplexCheckError, match=f"misses the equations by {stack.detail[1]:.3e}"):
-            phase_one_feasible(FeasibilityProblem(a, a[:, 5]))
+            phase_one_feasible(FeasibilityProblem(a, b))
         capped = simplex.solve_stack(stack_a, stack_b, max_iterations=0)
         assert list(capped.status) == [simplex.ITERATION_LIMIT] * 2
         with pytest.raises(SimplexStalledError, match="stalled after 1 iterations"):
-            phase_one_feasible(FeasibilityProblem(a, a[:, 5]), max_iterations=0)
+            phase_one_feasible(FeasibilityProblem(a, b), max_iterations=0)
