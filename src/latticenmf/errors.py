@@ -34,7 +34,8 @@ class SingularMatrixError(FactorizationError):
 
 
 class SimplexStalledError(FactorizationError):
-    """The feasibility solver exceeded its iteration cap."""
+    """The feasibility solver found no admissible pivot row or exceeded its
+    iteration cap."""
 
 
 class SimplexCheckError(FactorizationError):

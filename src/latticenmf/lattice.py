@@ -10,7 +10,7 @@ from .basic import BasicFunctionTable, DistinctRange
 from .errors import ExpansionInfeasibleError, NodeNotFoundError
 from .linalg import solve
 from .polytope import VertexSet
-from .simplex import FeasibilityProblem, phase_one_feasible
+from .simplex import FeasibilityProblem, _hull_system, phase_one_feasible
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +36,6 @@ def expand_in_vertices(
     the vertices: one valid combination among possibly many.
     """
     d = vs.d
-    a_eq = np.vstack([vs.vertices.T, np.ones((1, d))])
     membership = np.asarray(rng.membership)
     vertex_values = membership[list(vs.source_columns)]
     unique_rows = np.full((rng.mu, d), np.nan)
@@ -46,8 +45,9 @@ def expand_in_vertices(
     coefficients = unique_rows[membership]
     # NaN rows (missing) fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
-    for i in np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values)):
-        b_eq = np.concatenate([table.points[i], [1.0]])
+    missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))
+    a_eq, b_eqs = _hull_system(table.points[missing], vs.vertices)
+    for i, b_eq in zip(missing, b_eqs):
         result = phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
         if not result.feasible:
             raise ExpansionInfeasibleError(

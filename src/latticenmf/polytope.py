@@ -9,13 +9,7 @@ import numpy as np
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import SpanDeficiencyError
 from .linalg import greedy_independent_rows
-from .simplex import (
-    FEASIBLE,
-    INFEASIBLE,
-    convex_combination,
-    convex_combinations,
-    is_extreme_point,
-)
+from .simplex import FEASIBLE, INFEASIBLE, convex_combinations
 
 # Score entries computed at once when picking points along many directions.
 _SCORE_ENTRIES = 1 << 18
@@ -47,13 +41,14 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     point. Each round tests every unique point not yet resolved against the
     hull of the confirmed points, in one stacked phase-one solve. A
     feasible test makes the point interior. An infeasible one yields a
-    separating direction ``w`` (the phase-one dual); the point maximizing
-    ``w``, near-ties broken to the lexicographic maximum, lies outside that
-    hull and maximizes ``w`` over all points, so it is extreme. All picks of
-    a round are confirmed together, and the points not yet resolved are
-    tested again. A test that fails is retried in the next round; a round
-    whose tests give no pick solves the first failing one alone, which
-    raises its fault.
+    separating direction ``w`` (the phase-one dual); the pending point
+    maximizing ``w``, near-ties broken to the lexicographic maximum, lies
+    outside that hull and maximizes ``w`` over all points, so it is
+    extreme. Picks come only from pending points: one found interior is
+    never confirmed later. All picks of a round are confirmed together, and
+    the points not yet resolved are tested again. A test that fails is
+    retried in the next round; a round whose tests give no pick raises the
+    first failed test's fault.
 
     Certificates. Let ``p`` beat every other point on ``points @ w`` by
     ``g > 0`` and let ``c = -max_{q != p} w.q``. Then ``y = (w, c) /
@@ -73,7 +68,8 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     vertex on an edge leaving the maximal face). By the end every point lies
     in the hull of the confirmed ones, so a last stacked solve keeps exactly
     the uncertified confirmed points outside the hull of the other confirmed
-    points; with none uncertified, nothing is solved.
+    points; with none uncertified, nothing is solved. A test that faults
+    there raises its fault.
 
     An interior point's feasible test gives its convex weights over the
     points confirmed by then: ``unique_coefficients``, with NaN rows where
@@ -86,12 +82,11 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     tie_tol = tol_feas * (1.0 + float(np.abs(points).max()))
     lex_rank = np.empty(mu, dtype=int)
     lex_rank[np.lexsort(points.T[::-1])] = np.arange(mu)
-    confirmed = np.zeros(mu, dtype=bool)
-    certified = np.zeros(mu, dtype=bool)
+    confirmed, interior, certified = np.zeros((3, mu), dtype=bool)
 
     def extreme_along(directions, pick: bool = True) -> np.ndarray | None:
         """Certify the winners along each row ``w`` that beat the others by
-        the gap; with ``pick``, return the unconfirmed point maximizing
+        the gap; with ``pick``, return the pending point maximizing
         ``points @ w`` for each row."""
         picks = []
         step = max(1, _SCORE_ENTRIES // mu)
@@ -102,7 +97,7 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
             certified[winners[proven]] = True
             if not pick:
                 continue
-            scores[confirmed] = -np.inf
+            scores[confirmed | interior] = -np.inf
             # Score gaps grow with w, so the tie band does too.
             band = scores.max(axis=0) - tie_tol * np.abs(w).max(axis=1)
             # The lexicographic maximum of exact maximizers is a vertex of the
@@ -124,30 +119,24 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         test = convex_combinations(points[pending], points[over], tol_feas)
         resolved = test.status == FEASIBLE
         directions = test.dual[test.status == INFEASIBLE, :-1]
-        failed = np.flatnonzero((test.status != FEASIBLE) & (test.status != INFEASIBLE))
-        if failed.size and not directions.size:
-            # No test gave a pick: solve the first failed one alone, which
-            # raises its fault, or settles the point if the fault does not recur.
-            first = failed[0]
-            single = convex_combination(points[pending[first]], points[over], tol_feas)
-            if single.feasible:
-                resolved[first], test.x[first] = True, single.x
-            else:
-                directions = single.dual[None, :-1]
+        if not directions.size and not resolved.all():
+            # No test gave a pick: raise the first failed one's fault.
+            test.raise_fault(np.argmin(resolved))
+        interior[pending[resolved]] = True
         tested.append((pending[resolved], over, test.x[resolved]))
         if directions.size:
             confirmed[extreme_along(directions)] = True
-        pending = pending[~resolved & ~confirmed[pending]]
+        pending = np.flatnonzero(~confirmed & ~interior)
 
     found = np.flatnonzero(confirmed)
     kept = certified[found]
     doubt = np.flatnonzero(~kept)
     if doubt.size:
         last = convex_combinations(points[found[doubt]], points[found], tol_feas, skip=doubt)
+        faulted = last.status > INFEASIBLE
+        if faulted.any():
+            last.raise_fault(np.argmax(faulted))
         kept[doubt] = last.status == INFEASIBLE
-        for j in doubt[(last.status != FEASIBLE) & (last.status != INFEASIBLE)]:
-            others = found[np.arange(found.size) != j]
-            kept[j] = is_extreme_point(points[found[j]], points[others], tol_feas)
     keep = found[kept]
     weights = np.zeros((mu, found.size))
     weights[found, np.arange(found.size)] = 1.0

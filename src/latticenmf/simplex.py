@@ -80,47 +80,42 @@ class StackResult:
         self.infeasibility, self.detail = np.zeros((2, count))
         self.x, self.dual = np.zeros((count, q)), np.zeros((count, k))
 
+    def raise_fault(self, p: int) -> None:
+        """Raise the error ``phase_one_feasible`` raises for problem ``p``,
+        if its status is a fault."""
+        if self.status[p] in _FAULTS:
+            error, message = _FAULTS[self.status[p]]
+            raise error(message.format(self.detail[p]))
 
-def solve_stack(
-    a, b, tol_feas: float = 1e-9, max_iterations: int | None = None, skip=None
-) -> StackResult:
+
+def solve_stack(a, b, tol_feas: float = 1e-9, max_iterations: int | None = None) -> StackResult:
     """Phase one for the systems ``a[p] @ x == b[p]``, ``x >= 0``.
 
-    ``b`` is P x k; ``a`` is P x k x q, or one k x q matrix shared by all
-    problems. With ``skip`` (one column index per problem), problem ``p``
-    leaves column ``skip[p]`` out: ``x[p, skip[p]]`` stays 0 and the column
-    counts nowhere, so one shared matrix serves problems that each drop a
-    different column. Entries must be finite. Each problem follows exactly
-    the pivots it would follow alone: its own Bland entering index, ratio
-    test and pivot tolerance ``1e-11 * (1 + max|a[p]|)``. Feasibility is
-    declared when its optimal phase-one objective is at most
-    ``tol_feas * (1 + max|b[p]|)`` and the solution passes the checks of
-    ``_check_solution``. Nothing is raised for a problem; its status says
-    how it ended.
+    ``a`` is P x k x q and ``b`` is P x k; entries must be finite. Each
+    problem follows exactly the pivots it would follow alone: its own Bland
+    entering index, ratio test and pivot tolerance ``1e-11 * (1 +
+    max|a[p]|)``. Feasibility is declared when its optimal phase-one
+    objective is at most ``tol_feas * (1 + max|b[p]|)`` and the solution
+    passes the checks of ``_check_solution``. Nothing is raised for a
+    problem; its status says how it ended.
     """
     b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)
     (count, k), q = b.shape, a.shape[-1]
-    if a.ndim == 2:
-        a = np.broadcast_to(a, (count, k, q))
     if max_iterations is None:
         max_iterations = 1000 + 100 * (q + k)
     out = StackResult(count, k, q)
     step = max(1, _SLICE_ENTRIES // (k * (q + k + 1) or 1))
     for start in range(0, count, step):
         part = slice(start, start + step)
-        _solve_slice(a[part], b[part], None if skip is None else skip[part],
-                     tol_feas, max_iterations, out, start)
+        _solve_slice(a[part], b[part], tol_feas, max_iterations, out, start)
     return out
 
 
-def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset: int) -> None:
+def _solve_slice(a, b, tol_feas, max_iterations, out: StackResult, offset: int) -> None:
     """The pivot loop of ``solve_stack`` for problems ``offset...`` of ``out``."""
     count, k, q = a.shape
     n = q + k
-    column_scale = np.abs(a).max(axis=1, initial=0.0)
-    if skip is not None:
-        column_scale[np.arange(count), skip] = 0.0
-    a_scale = column_scale.max(axis=1, initial=0.0)
+    a_scale = np.abs(a).max(axis=(1, 2), initial=0.0)
     # Flip rows with negative right-hand side so the artificial start is feasible.
     sign = np.where(b < 0.0, -1.0, 1.0)
     tableau = np.zeros((count, k, n + 1))
@@ -143,8 +138,6 @@ def _solve_slice(a, b, skip, tol_feas, max_iterations, out: StackResult, offset:
     while True:
         reduced = cost - (cost[basis][:, None, :] @ tableau[:, :, :n])[:, 0]
         improving = reduced < price_tol
-        if skip is not None:
-            improving[rows, skip[live]] = False
         entering = improving.argmax(axis=1)  # Bland: smallest improving index
         column = tableau[rows, :, entering]
         admissible = column > pivot_tol
@@ -231,8 +224,7 @@ def _solution_faults(a, b, x, a_scale, b_scale, tol_feas: float):
     """Status and detail per problem: FEASIBLE unless ``x[p]`` has an entry
     below ``-tol_feas * (1 + b_scale[p])`` or misses ``a[p] @ x == b[p]`` by
     more than ``max(tol_feas, 1e-7) * (1 + b_scale[p]) * (1 + a_scale[p])``,
-    where ``b_scale[p]`` is ``max|b[p]|`` and ``a_scale[p]`` is ``max|a[p]|``
-    over the columns in use."""
+    where ``b_scale[p]`` is ``max|b[p]|`` and ``a_scale[p]`` is ``max|a[p]|``."""
     lowest = x.min(axis=1, initial=0.0)
     residual = np.abs((a @ x[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
     negative = lowest < -tol_feas * (1.0 + b_scale)
@@ -241,22 +233,17 @@ def _solution_faults(a, b, x, a_scale, b_scale, tol_feas: float):
     return status, np.where(negative, lowest, np.where(missed, residual, 0.0))
 
 
-def _raise_fault(status: int, detail: float) -> None:
-    if status in _FAULTS:
-        error, message = _FAULTS[status]
-        raise error(message.format(detail))
-
-
 def _check_solution(a, b, x, tol_feas: float) -> None:
     """Raise SimplexCheckError unless ``x`` is nonnegative and solves
     ``a @ x == b`` within the solver's own bounds. A real check rather than
     an assert, so it also runs under ``python -O``."""
     a, b = np.atleast_2d(a), np.ravel(b)
-    status, detail = _solution_faults(
+    out = StackResult(1, *a.shape)
+    out.status, out.detail = _solution_faults(
         a[None], b[None], np.ravel(x)[None].astype(float),
         np.abs(a).max(initial=0.0)[None], np.abs(b).max(initial=0.0)[None], tol_feas,
     )
-    _raise_fault(int(status[0]), float(detail[0]))
+    out.raise_fault(0)
 
 
 def phase_one_feasible(
@@ -280,10 +267,9 @@ def phase_one_feasible(
     if b.size and not np.isfinite(b).all():
         raise ValueError("b_eq contains NaN or infinite entries")
     out = solve_stack(a[None], b[None], tol_feas, max_iterations)
-    status = int(out.status[0])
-    _raise_fault(status, float(out.detail[0]))
+    out.raise_fault(0)
     return FeasibilityResult(
-        x=out.x[0] if status == FEASIBLE else None,
+        x=out.x[0] if out.status[0] == FEASIBLE else None,
         infeasibility=float(out.infeasibility[0]),
         iterations=int(out.iterations[0]),
         dual=out.dual[0],
@@ -317,9 +303,15 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
 def convex_combinations(points, pts, tol_feas: float = 1e-9, skip=None) -> StackResult:
     """``convex_combination`` for every row of ``points`` in one stacked
     solve, all against the rows of ``pts``. With ``skip``, point ``p`` is
-    tested against the rows of ``pts`` other than ``pts[skip[p]]``."""
+    tested against the rows of ``pts`` other than ``pts[skip[p]]``: that
+    column of its system is zeroed, so its reduced cost stays 0, it never
+    enters and ``x[p, skip[p]]`` is 0."""
     a, b = _hull_system(points, pts)
-    return solve_stack(a, b, tol_feas, skip=skip)
+    a = np.broadcast_to(a, (len(b), *a.shape))
+    if skip is not None:
+        a = a.copy()
+        a[np.arange(len(b)), :, skip] = 0.0
+    return solve_stack(a, b, tol_feas)
 
 
 def is_extreme_point(p, others, tol_feas: float = 1e-9) -> bool:

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import latticenmf
 from latticenmf import (
     FeasibilityProblem,
     SimplexCheckError,
+    SimplexStalledError,
     SpanDeficiencyError,
     VertexSet,
     basic_function,
@@ -451,9 +452,7 @@ class TestRounds:
         # confirmed points). Every certified point is kept.
         state = np.random.default_rng(139)
         with_last = without_last = 0
-        sets = [(False, rng) for rng in _small_sets(state, 30)]
-        sets += [(True, rng) for rng in _near_corner_sets(state, 30)]
-        for near_corner, rng in sets:
+        for rng in [*_small_sets(state, 30), *_near_corner_sets(state, 30)]:
             calls = self._counting(monkeypatch)
             record = _recording_certificates(monkeypatch)
             vs = hull_vertices(rng)
@@ -462,12 +461,8 @@ class TestRounds:
             kept = {tuple(v) for v in vs.vertices}
             assert calls["kernel"] == len(rounds) + len(last)
             assert calls["single"] == 0
-            # Each round tests a strict subset of the points of the round before;
-            # near corners, a round's picks can all be points found interior before.
-            assert all(
-                later < earlier or near_corner and later == earlier
-                for earlier, later in zip(rounds, rounds[1:])
-            )
+            # Each round tests a strict subset of the points of the round before.
+            assert all(later < earlier for earlier, later in zip(rounds, rounds[1:]))
             assert certified <= kept
             if last:
                 ((tested, confirmed),) = last
@@ -480,25 +475,39 @@ class TestRounds:
             monkeypatch.undo()
         assert with_last and without_last
 
-    def test_failed_tests_are_settled_one_at_a_time(self, monkeypatch):
-        # Every stacked test reports a fault: each round then settles its first
-        # point alone and the last pass asks each point alone, which must give
-        # the same vertices and weights as the stacked solves.
+    def test_failed_tests_raise_with_no_solve_alone(self, monkeypatch):
+        # Every stacked test reports a fault: the first stacked solve of a set
+        # (a round or the last pass) raises the first failed test's fault, and
+        # no problem is solved alone.
         state = np.random.default_rng(149)
         stacked = latticenmf.polytope.convex_combinations
+        single = latticenmf.simplex.phase_one_feasible
+        calls = {"stacked": 0, "single": 0}
 
         def failing(*args, **kwargs):
+            calls["stacked"] += 1
             out = stacked(*args, **kwargs)
             out.status[:] = latticenmf.simplex.NO_PIVOT_ROW
             return out
 
+        def counted_single(*args, **kwargs):
+            calls["single"] += 1
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
+        monkeypatch.setattr(latticenmf.simplex, "phase_one_feasible", counted_single)
+        raised = 0
         for rng in _small_sets(state, 10):
-            expected = hull_vertices(rng)
-            monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
-            got = hull_vertices(rng)
-            monkeypatch.undo()
-            assert got.source_columns == expected.source_columns
-            assert np.abs(got.unique_coefficients @ got.vertices - rng.unique_points).max() <= 1e-9
+            calls["stacked"] = 0
+            try:
+                hull_vertices(rng)
+            except SimplexStalledError as error:
+                assert str(error) == "simplex stalled: no admissible pivot row"
+                assert calls["stacked"] == 1
+                raised += 1
+            else:
+                assert calls["stacked"] == 0
+        assert raised and calls["single"] == 0
 
     def test_a_fault_no_round_can_pass_raises_with_stage_vertices(self, monkeypatch):
         stacked = latticenmf.polytope.convex_combinations
@@ -508,11 +517,7 @@ class TestRounds:
             out.status[:] = latticenmf.simplex.MISSED_EQUATIONS
             return out
 
-        def raising(*args, **kwargs):
-            raise SimplexCheckError("simplex solution misses the equations by 1.000e-03")
-
         monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
-        monkeypatch.setattr(latticenmf.polytope, "convex_combination", raising)
         with pytest.raises(SimplexCheckError) as raised:
             factorize(MINLAT_8X11)
         assert raised.value.stage == "vertices"
@@ -542,6 +547,18 @@ class TestRounds:
             assert distance.min(axis=0).max() <= 1e-7 and distance.min(axis=1).max() <= 1e-7
         assert raised["rounds"] <= raised["point_by_point"]
         assert both >= 80
+
+    @pytest.mark.parametrize("seed, index", [(147, 28), (106, 44)])
+    def test_a_point_found_interior_is_never_picked(self, seed, index):
+        # On these sets a round used to pick a point an earlier round had
+        # found interior; the last pass then tested it together with the
+        # vertex it nearly copies and dropped both.
+        rng = next(islice(_near_corner_sets(np.random.default_rng(seed), 100), index, None))
+        expected = rng.unique_points[_point_by_point_pass(rng)]
+        got = rng.unique_points[_rounds_pass(rng)]
+        assert len(got) == len(expected)
+        distance = np.abs(expected[:, None] - got[None]).max(axis=2)
+        assert distance.min(axis=0).max() <= 1e-7 and distance.min(axis=1).max() <= 1e-7
 
 
 class TestCertificates:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +279,12 @@ class TestSolveStack:
                 assert (stack.status[j] == simplex.INFEASIBLE) == is_extreme_point(
                     pts[j], np.delete(pts, j, axis=0)
                 )
+                # The skipped column is zeroed: the pivots are those of the
+                # system without it.
+                single = convex_combination(pts[j], np.delete(pts, j, axis=0))
+                assert stack.iterations[j] == single.iterations
+                x = np.zeros(len(pts) - 1) if single.x is None else single.x
+                assert np.array_equal(stack.x[j], np.insert(x, j, 0.0))
 
     def test_faults_are_reported_per_problem_with_the_messages_raised_alone(self):
         # The second system needs its entry 5e-11, below the pivot tolerance,
@@ -293,3 +304,35 @@ class TestSolveStack:
         assert list(capped.status) == [simplex.ITERATION_LIMIT] * 2
         with pytest.raises(SimplexStalledError, match="stalled after 1 iterations"):
             phase_one_feasible(FeasibilityProblem(a, b), max_iterations=0)
+
+    def test_fault_checks_hold_under_python_O(self):
+        # The checks raise rather than assert, so python -O keeps them: the
+        # system above still misses its equations, and a negative entry is
+        # still rejected.
+        script = """
+import numpy as np
+from latticenmf import FeasibilityProblem, SimplexCheckError, simplex
+print(__debug__)
+a = np.zeros((3, 6))
+a[0, 0], a[1, 0], a[1, 1], a[2, 2] = 5e-11, 2e-10, 5e-6, 5.0
+checks = [
+    lambda: simplex.phase_one_feasible(FeasibilityProblem(a, a[:, 0] + a[:, 1])),
+    lambda: simplex._check_solution(np.eye(2), [1.0, 0.0], [1.0, -1e-3], 1e-9),
+]
+for check in checks:
+    try:
+        check()
+        print("passed")
+    except SimplexCheckError as error:
+        print(error)
+"""
+        src = str(Path(simplex.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+        )
+        debug, missed, negative = run.stdout.splitlines()
+        assert debug == "False"
+        assert missed.startswith("simplex solution misses the equations by ")
+        assert negative == "simplex returned a negative entry -1.000e-03"
