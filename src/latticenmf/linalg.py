@@ -1,8 +1,9 @@
 """Tolerance-aware dense linear algebra used by every pipeline stage.
 
-Rank and solve decisions use Gaussian elimination with partial pivoting and
-a pivot threshold relative to the largest entry of the matrix, so decisions
-are invariant under positive rescaling of the input.
+Rank decisions use Gaussian elimination with partial pivoting and a pivot
+threshold relative to the largest entry of the matrix, so decisions are
+invariant under positive rescaling of the input. ``solve`` takes its
+singularity verdict from ``rank_of`` and its numbers from LAPACK.
 """
 
 from __future__ import annotations
@@ -85,10 +86,13 @@ def rank_of(m, tol_rank: float = 1e-9) -> int:
 
 
 def solve(l, b, tol_rank: float = 1e-9) -> np.ndarray:
-    """Solve ``l @ x = b`` by elimination with partial pivoting.
+    """Solve ``l @ x = b``; ``b`` is a vector or stacked right-hand sides.
 
-    ``b`` may be a vector or a matrix of stacked right-hand sides. Raises
-    SingularMatrixError when a pivot falls below the relative threshold.
+    Raises SingularMatrixError when ``rank_of(l, tol_rank) < n``: the
+    verdict of partial-pivot elimination against ``tol_rank`` times the
+    largest entry of ``l``. The numbers then come from LAPACK. An exact
+    zero pivot there raises SingularMatrixError too; LAPACK rounds
+    differently from ``rank_of``, so that can happen when ``tol_rank`` is 0.
     """
     a = as_matrix(l, "l")
     n = a.shape[0]
@@ -101,20 +105,12 @@ def solve(l, b, tol_rank: float = 1e-9) -> np.ndarray:
     rhs = as_matrix(rhs, "b")
     if rhs.shape[0] != n:
         raise ValueError(f"dimension mismatch: {a.shape} against {rhs.shape}")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    threshold = tol_rank * (scale if scale > 0.0 else 1.0)
-    aug = np.hstack([a.copy(), rhs])
-    for k in range(n):
-        pivot = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[pivot, k]) <= threshold:
-            raise SingularMatrixError("singular basis matrix")
-        if pivot != k:
-            aug[[k, pivot]] = aug[[pivot, k]]
-        factors = aug[k + 1 :, k] / aug[k, k]
-        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
-    x = np.zeros((n, rhs.shape[1]))
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n:] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
+    if rank_of(a, tol_rank) < n:
+        raise SingularMatrixError("singular basis matrix")
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular basis matrix") from None
     return x[:, 0] if vector_rhs else x
 
 

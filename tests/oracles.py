@@ -1,14 +1,17 @@
 """Independent reference implementations the tests check against.
 
-Nothing here shares code with the package: ranks go through exact rational
-elimination, hull membership through brute-force convex-combination search,
-and factor comparisons through explicit permutation search.
+Nothing here shares code with the package beyond its error types: ranks go
+through exact rational elimination, hull membership through brute-force
+convex-combination search, and factor comparisons through explicit
+permutation search.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
+
+from latticenmf.errors import SingularMatrixError
 
 
 def exact_rank(matrix) -> int:
@@ -133,6 +136,34 @@ def greedy_independent_rows_loop(matrix, tol_rank: float = 1e-9):
             kept.append(i)
             reduced.append((row, pivot_col))
     return kept
+
+
+def solve_loop(l, b, tol_rank: float = 1e-9):
+    """Gaussian elimination with partial pivoting on the augmented matrix,
+    then back-substitution, one pivot at a time. Raises SingularMatrixError
+    when a pivot is at most ``tol_rank`` times the largest entry of ``l``
+    (times 1 for the zero matrix)."""
+    a = np.asarray(l, dtype=float)
+    rhs = np.asarray(b, dtype=float)
+    vector_rhs = rhs.ndim == 1
+    if vector_rhs:
+        rhs = rhs[:, None]
+    n = a.shape[0]
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    threshold = tol_rank * (scale if scale > 0.0 else 1.0)
+    aug = np.hstack([a.copy(), rhs])
+    for k in range(n):
+        pivot = k + int(np.argmax(np.abs(aug[k:, k])))
+        if abs(aug[pivot, k]) <= threshold:
+            raise SingularMatrixError("singular basis matrix")
+        if pivot != k:
+            aug[[k, pivot]] = aug[[pivot, k]]
+        factors = aug[k + 1 :, k] / aug[k, k]
+        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
+    x = np.zeros((n, rhs.shape[1]))
+    for k in range(n - 1, -1, -1):
+        x[k] = (aug[k, n:] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
+    return x[:, 0] if vector_rhs else x
 
 
 def find_nodes_loop(basis, tol_node: float = 1e-6):

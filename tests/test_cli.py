@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -89,6 +90,14 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
     source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
     assert run([str(source), "--tol-node", "1e6", "--out-dir", str(tmp_path / "out")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_singular_basis_exits_two_with_stage(tmp_path, capsys, monkeypatch):
+    module = importlib.import_module("latticenmf.factorize")
+    monkeypatch.setattr(module, "basis_matrix", lambda vs: np.ones((vs.d, vs.d)))
+    source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
+    assert run([str(source), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "numerical failure [basis]" in capsys.readouterr().err
 
 
 def test_matrix_market_output(tmp_path):

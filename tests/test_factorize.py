@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from latticenmf import (
     IntermediateDimensionError,
     InvalidEntryError,
     PositiveBasis,
+    SingularMatrixError,
     ZeroColumnMask,
     ZeroMatrixError,
     build_f,
@@ -270,6 +273,13 @@ class TestFactorizeEdges:
         assert np.array_equal(first.F, second.F)
         assert np.array_equal(first.V, second.V)
         assert first.nodes == second.nodes
+
+    def test_singular_basis_raises_with_stage_basis(self, monkeypatch):
+        module = importlib.import_module("latticenmf.factorize")
+        monkeypatch.setattr(module, "basis_matrix", lambda vs: np.ones((vs.d, vs.d)))
+        with pytest.raises(SingularMatrixError) as info:
+            factorize(MINLAT_6X6)
+        assert info.value.stage == "basis"
 
     def test_timings_cover_stages(self):
         result = factorize(MINLAT_6X6)

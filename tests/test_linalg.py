@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latticenmf import (
+    InvalidEntryError,
     SingularMatrixError,
     Tolerances,
     ZeroMatrixError,
@@ -11,7 +12,7 @@ from latticenmf import (
 )
 
 from data import MINLAT_6X6, NRF_5X4, SUBLAT_8X10
-from oracles import exact_rank, greedy_independent_rows_loop
+from oracles import exact_rank, greedy_independent_rows_loop, solve_loop
 
 
 class TestTolerances:
@@ -101,9 +102,68 @@ class TestSolve:
         with pytest.raises(SingularMatrixError, match="singular basis matrix"):
             solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.eye(2))
 
+    def test_lapack_zero_pivot_raises_singular(self, monkeypatch):
+        # With tol_rank = 0, rank_of can accept a rounding-sized last pivot
+        # where LAPACK's own rounding leaves an exact 0: with OpenBLAS, the
+        # exactly singular [[-3, 2, -2], [-2, 0, -1], [1, -2, 1]] does this.
+        def zero_pivot(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", zero_pivot)
+        with pytest.raises(SingularMatrixError, match="singular basis matrix"):
+            solve(np.eye(2), np.ones(2), 0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve(np.eye(2), np.zeros((3, 2)))
+
+    def test_validation_beyond_lapack(self):
+        for l, b in [
+            ([[1.0, np.nan], [0.0, 1.0]], np.ones(2)),
+            (np.eye(2), [1.0, np.inf]),
+            (np.eye(2), [[1.0, 0.0], [np.nan, 1.0]]),
+        ]:
+            with pytest.raises(InvalidEntryError):
+                solve(l, b)
+        with pytest.raises(ValueError, match="square"):
+            solve(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="mismatch"):
+            solve(np.eye(2), np.ones(3))
+        assert solve(np.diag([2.0, 4.0]), [2.0, 8.0]).shape == (2,)
+        assert solve(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("family", ["well", "near_singular", "scaled", "integer"])
+    def test_verdict_and_numbers_match_the_elimination_loop(self, family):
+        state = np.random.default_rng(["well", "near_singular", "scaled", "integer"].index(family))
+        eps = np.finfo(float).eps
+        raised = 0
+        for _ in range(500):
+            n = int(state.integers(1, 9))
+            if family == "well":
+                l = state.uniform(-1, 1, size=(n, n)) + n * np.eye(n)
+            elif family == "near_singular":
+                l = state.uniform(-1, 1, size=(n, n))
+                noise = 10.0 ** state.uniform(-14, -6) * state.uniform(-1, 1, size=n)
+                l[-1] = state.uniform(-1, 1, size=n - 1) @ l[:-1] + noise
+            elif family == "scaled":
+                l = state.uniform(-1, 1, size=(n, n)) * 10.0 ** state.uniform(-8, 8)
+            else:
+                l = np.round(state.uniform(-3, 3, size=(n, n)))
+            b = state.uniform(-5, 5, size=(n, 3))
+            try:
+                expected = solve_loop(l, b)
+            except SingularMatrixError:
+                raised += 1
+                with pytest.raises(SingularMatrixError):
+                    solve(l, b)
+                continue
+            x = solve(l, b)
+            # Both solves are backward stable, so they may differ by about
+            # cond(l) * eps relative to the solution.
+            bound = (1e-9 + 10 * eps * np.linalg.cond(l)) * (1.0 + np.abs(x).max())
+            assert np.abs(x - expected).max() <= bound
+        if family in ("near_singular", "integer"):
+            assert 0 < raised < 500
 
 
 class TestGreedyIndependentRows:
