@@ -10,7 +10,7 @@ from .basic import BasicFunctionTable, DistinctRange
 from .errors import ExpansionInfeasibleError, NodeNotFoundError
 from .linalg import solve
 from .polytope import VertexSet
-from .simplex import FeasibilityProblem, _hull_system, phase_one_feasible
+from .simplex import FEASIBLE, convex_combinations
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,9 +31,9 @@ def expand_in_vertices(
 
     Columns whose value is itself a vertex get the exact indicator row.
     Every other column takes its value's row of ``vs.unique_coefficients``
-    (the hull pass's weights), or, when that row is missing or misses the
-    column's own point by more than ``tol_feas``, a feasibility solve over
-    the vertices: one valid combination among possibly many.
+    (the hull pass's weights). The columns whose row is missing or misses
+    their own point by more than ``tol_feas`` are solved again, together in
+    one stacked solve over the vertices: one valid combination among many.
     """
     d = vs.d
     membership = np.asarray(rng.membership)
@@ -46,15 +46,15 @@ def expand_in_vertices(
     # NaN rows (missing) fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
     missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))
-    a_eq, b_eqs = _hull_system(table.points[missing], vs.vertices)
-    for i, b_eq in zip(missing, b_eqs):
-        result = phase_one_feasible(FeasibilityProblem(a_eq, b_eq), tol_feas)
-        if not result.feasible:
-            raise ExpansionInfeasibleError(
-                f"column {i}: not a convex combination of the vertices "
-                f"(infeasibility {result.infeasibility:.3e})"
-            )
-        coefficients[i] = result.x
+    solved = convex_combinations(table.points[missing], vs.vertices, tol_feas)
+    failed = np.flatnonzero(solved.status != FEASIBLE)
+    if failed.size:
+        solved.raise_fault(failed[0])
+        raise ExpansionInfeasibleError(
+            f"column {missing[failed[0]]}: not a convex combination of the vertices "
+            f"(infeasibility {solved.infeasibility[failed[0]]:.3e})"
+        )
+    coefficients[missing] = solved.x
     # Solver entries a rounding error below zero pass its checks; convex
     # weights have none.
     return ConvexExpansion(np.maximum(coefficients, 0.0))

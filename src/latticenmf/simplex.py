@@ -96,7 +96,7 @@ def solve_stack(a, b, tol_feas: float = 1e-9, max_iterations: int | None = None)
     entering index, ratio test and pivot tolerance ``1e-11 * (1 +
     max|a[p]|)``. Feasibility is declared when its optimal phase-one
     objective is at most ``tol_feas * (1 + max|b[p]|)`` and the solution
-    passes the checks of ``_check_solution``. Nothing is raised for a
+    passes the checks of ``_solution_faults``. Nothing is raised for a
     problem; its status says how it ended.
     """
     b, a = np.asarray(b, dtype=float), np.asarray(a, dtype=float)

@@ -1,11 +1,17 @@
+import importlib
+from itertools import count
+
 import numpy as np
 import pytest
 
 import latticenmf.lattice
+import latticenmf.simplex
 from latticenmf import (
     ConvexExpansion,
+    ExpansionInfeasibleError,
     NodeNotFoundError,
     PositiveBasis,
+    SimplexStalledError,
     VertexSet,
     basic_function,
     basis_matrix,
@@ -102,14 +108,16 @@ class TestExpandInVertices:
 class TestExpansionPerDistinctValue:
     @staticmethod
     def _counting(monkeypatch):
-        calls = []
-        solver = latticenmf.lattice.phase_one_feasible
+        # One entry per problem the fallback solves: the number of the
+        # stacked call that solved it.
+        calls, stack_number = [], count(1)
+        solver = latticenmf.lattice.convex_combinations
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solver(*args, **kwargs)
+        def counted(points, *args, **kwargs):
+            calls.extend([next(stack_number)] * len(points))
+            return solver(points, *args, **kwargs)
 
-        monkeypatch.setattr(latticenmf.lattice, "phase_one_feasible", counted)
+        monkeypatch.setattr(latticenmf.lattice, "convex_combinations", counted)
         return calls
 
     def test_one_solve_per_distinct_interior_value(self, monkeypatch):
@@ -177,9 +185,52 @@ class TestExpansionPerDistinctValue:
         calls = self._counting(monkeypatch)
         coeff = expand_in_vertices(table, vs, rng).coefficients
         assert len(calls) == 2
+        assert calls[0] == calls[1]
         assert coeff.min() >= 0.0
         assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
+
+
+class TestExpansionFailures:
+    # Columns 0-2 are the corners of the simplex, 3 its centre and 4 an
+    # interior point; a hand-built vertex set decides what lies outside.
+    X = np.array([[1, 0, 0, 1, 1], [0, 1, 0, 1, 2], [0, 0, 1, 1, 3]], dtype=float)
+
+    def _hand_set(self, columns):
+        table = basic_function(self.X)
+        vs = VertexSet(table.points[list(columns)], tuple(columns), r=3)
+        return table, vs, distinct_values(table)
+
+    def test_first_column_outside_the_vertices_is_named(self):
+        # Columns 2 and 4 lie outside the hull of columns 0, 1 and 3.
+        table, vs, rng = self._hand_set((0, 1, 3))
+        with pytest.raises(ExpansionInfeasibleError) as raised:
+            expand_in_vertices(table, vs, rng)
+        assert str(raised.value) == (
+            "column 2: not a convex combination of the vertices (infeasibility 2.000e+00)"
+        )
+
+    def test_infeasible_expansion_raises_with_stage_expansion(self, monkeypatch):
+        # Factorize expands only when d > r, so column 4 joins the set;
+        # column 2 still lies outside.
+        _, vs, _ = self._hand_set((0, 1, 3, 4))
+        module = importlib.import_module("latticenmf.factorize")
+        monkeypatch.setattr(module, "hull_vertices", lambda rng, tol_feas: vs)
+        with pytest.raises(ExpansionInfeasibleError, match="^column 2: ") as raised:
+            factorize(self.X)
+        assert raised.value.stage == "expansion"
+
+    def test_a_faulting_solve_raises_the_solver_error(self, monkeypatch):
+        # Columns 3 and 4 have no hull weights; capped at 0 pivots, their solves stall.
+        table, vs, rng = self._hand_set((0, 1, 2))
+        solve_stack = latticenmf.simplex.solve_stack
+
+        def capped(a, b, tol_feas=1e-9, max_iterations=None):
+            return solve_stack(a, b, tol_feas, max_iterations=0)
+
+        monkeypatch.setattr(latticenmf.simplex, "solve_stack", capped)
+        with pytest.raises(SimplexStalledError, match="^simplex stalled after 1 iterations$"):
+            expand_in_vertices(table, vs, rng)
 
 
 class TestSynthesizeVectors:
