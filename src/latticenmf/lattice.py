@@ -75,17 +75,14 @@ def synthesize_vectors(expansion: ConvexExpansion, sums, r: int) -> np.ndarray:
 def basis_matrix(vs: VertexSet) -> np.ndarray:
     """Square matrix whose columns are the vertices, lifted when d > r.
 
-    For d == r the columns are the vertices themselves. For d > r every
-    vertex gains d - r trailing coordinates: zeros for the first r columns
-    and the matching unit vector for the appended ones, with each appended
-    column halved as a whole.
+    Every vertex gains d - r trailing coordinates: zeros for the first r
+    columns and the matching unit vector for the appended ones, with each
+    appended column halved as a whole. For d == r the columns are the
+    vertices themselves.
     """
     r, d = vs.r, vs.d
-    columns = vs.vertices.T
-    if d == r:
-        return columns.copy()
     lifted = np.zeros((d, d))
-    lifted[:r, :] = columns
+    lifted[:r, :] = vs.vertices.T
     lifted[r:, r:] = np.eye(d - r)
     lifted[:, r:] *= 0.5
     return lifted

@@ -1,9 +1,11 @@
 """Tolerance-aware dense linear algebra used by every pipeline stage.
 
-Rank decisions use Gaussian elimination with partial pivoting and a pivot
-threshold relative to the largest entry of the matrix, so decisions are
-invariant under positive rescaling of the input. ``solve`` takes its
-singularity verdict from ``rank_of`` and its numbers from LAPACK.
+Rank decisions compare pivots with a threshold relative to the largest
+entry of the matrix, so they are invariant under positive rescaling of the
+input. ``rank_of`` eliminates with partial pivoting; ``greedy_independent_rows``
+scans the rows in order and pivots each kept row on its largest entry.
+``solve`` takes its singularity verdict from ``rank_of`` and its numbers
+from LAPACK.
 """
 
 from __future__ import annotations

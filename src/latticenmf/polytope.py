@@ -66,10 +66,12 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
 
     A near-tie can confirm a point that is not extreme (one just inside a
     vertex on an edge leaving the maximal face). By the end every point lies
-    in the hull of the confirmed ones, so a last stacked solve keeps exactly
-    the uncertified confirmed points outside the hull of the other confirmed
-    points; with none uncertified, nothing is solved. A test that faults
-    there raises its fault.
+    in the hull of the confirmed ones, so a last pass tests each uncertified
+    confirmed point alone, in index order, against the confirmed points
+    still kept, and drops it when that test is feasible; a test that faults
+    raises its fault. Of a vertex and its near copy, each within tolerance
+    of the other's hull, only the one tested first is dropped. With none
+    uncertified, nothing is solved.
 
     An interior point's feasible test gives its convex weights over the
     points confirmed by then: ``unique_coefficients``, with NaN rows where
@@ -129,14 +131,12 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         pending = np.flatnonzero(~confirmed & ~interior)
 
     found = np.flatnonzero(confirmed)
-    kept = certified[found]
-    doubt = np.flatnonzero(~kept)
-    if doubt.size:
-        last = convex_combinations(points[found[doubt]], points[found], tol_feas, skip=doubt)
-        faulted = last.status > INFEASIBLE
-        if faulted.any():
-            last.raise_fault(np.argmax(faulted))
-        kept[doubt] = last.status == INFEASIBLE
+    kept = np.ones(found.size, dtype=bool)
+    for j in np.flatnonzero(~certified[found]):
+        kept[j] = False
+        last = convex_combinations(points[found[[j]]], points[found[kept]], tol_feas)
+        last.raise_fault(0)
+        kept[j] = last.status[0] == INFEASIBLE
     keep = found[kept]
     weights = np.zeros((mu, found.size))
     weights[found, np.arange(found.size)] = 1.0

@@ -300,17 +300,11 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
     return phase_one_feasible(FeasibilityProblem(a, b[0]), tol_feas)
 
 
-def convex_combinations(points, pts, tol_feas: float = 1e-9, skip=None) -> StackResult:
+def convex_combinations(points, pts, tol_feas: float = 1e-9) -> StackResult:
     """``convex_combination`` for every row of ``points`` in one stacked
-    solve, all against the rows of ``pts``. With ``skip``, point ``p`` is
-    tested against the rows of ``pts`` other than ``pts[skip[p]]``: that
-    column of its system is zeroed, so its reduced cost stays 0, it never
-    enters and ``x[p, skip[p]]`` is 0."""
+    solve, all against the rows of ``pts``."""
     a, b = _hull_system(points, pts)
     a = np.broadcast_to(a, (len(b), *a.shape))
-    if skip is not None:
-        a = a.copy()
-        a[np.arange(len(b)), :, skip] = 0.0
     return solve_stack(a, b, tol_feas)
 
 

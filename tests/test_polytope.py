@@ -9,6 +9,7 @@ from latticenmf import (
     SimplexCheckError,
     SimplexStalledError,
     SpanDeficiencyError,
+    Tolerances,
     VertexSet,
     basic_function,
     distinct_values,
@@ -419,19 +420,26 @@ def _recording_certificates(monkeypatch):
 class TestRounds:
     @staticmethod
     def _counting(monkeypatch):
-        calls = {"rounds": [], "last": [], "kernel": 0, "single": 0}
-        stacked, kernel, single = (
+        """Patch the hull pass to record each stacked solve as ``(points
+        tested, points tested against, result)`` in ``calls["stacked"]`` and
+        each result checked for a fault in ``calls["checked"]``, and to count
+        kernel and one-problem calls."""
+        calls = {"stacked": [], "checked": [], "kernel": 0, "single": 0}
+        stacked, kernel, single, check = (
             latticenmf.polytope.convex_combinations,
             latticenmf.simplex.solve_stack,
             latticenmf.simplex.phase_one_feasible,
+            latticenmf.simplex.StackResult.raise_fault,
         )
 
-        def counted_stack(points, pts, tol_feas=1e-9, skip=None):
-            tested = {tuple(p) for p in points}
-            calls["rounds"].append(tested) if skip is None else calls["last"].append(
-                (tested, {tuple(p) for p in pts})
-            )
-            return stacked(points, pts, tol_feas, skip)
+        def counted_stack(points, pts, tol_feas=1e-9):
+            out = stacked(points, pts, tol_feas)
+            calls["stacked"].append((points, pts, out))
+            return out
+
+        def counted_check(result, p):
+            calls["checked"].append(result)
+            return check(result, p)
 
         def counted_kernel(*args, **kwargs):
             calls["kernel"] += 1
@@ -442,31 +450,48 @@ class TestRounds:
             return single(*args, **kwargs)
 
         monkeypatch.setattr(latticenmf.polytope, "convex_combinations", counted_stack)
+        monkeypatch.setattr(latticenmf.simplex.StackResult, "raise_fault", counted_check)
         monkeypatch.setattr(latticenmf.simplex, "solve_stack", counted_kernel)
         monkeypatch.setattr(latticenmf.simplex, "phase_one_feasible", counted_single)
         return calls
 
-    def test_one_kernel_call_per_round_and_one_for_the_last_pass(self, monkeypatch):
-        # The last pass runs only when a confirmed point is uncertified, and
-        # then tests exactly the uncertified confirmed points (against all
-        # confirmed points). Every certified point is kept.
+    def test_one_kernel_call_per_round_and_per_uncertified_point(self, monkeypatch):
+        # The last pass runs only when a confirmed point is uncertified. It
+        # tests each uncertified confirmed point alone, in index order,
+        # against the confirmed points still kept, and drops it when that
+        # test is feasible. It checks every result for a fault; a round
+        # checks only when it gives no pick, which no set here does. Every
+        # certified point is kept.
         state = np.random.default_rng(139)
         with_last = without_last = 0
         for rng in [*_small_sets(state, 30), *_near_corner_sets(state, 30)]:
             calls = self._counting(monkeypatch)
             record = _recording_certificates(monkeypatch)
             vs = hull_vertices(rng)
-            rounds, last = calls["rounds"], calls["last"]
-            certified = {tuple(rng.unique_points[p]) for p, _ in record["certified"]}
-            kept = {tuple(v) for v in vs.vertices}
-            assert calls["kernel"] == len(rounds) + len(last)
+            index = {tuple(p): i for i, p in enumerate(rng.unique_points)}
+            rounds, last = [], []
+            for points, pts, out in calls["stacked"]:
+                tested, against = ({index[tuple(p)] for p in q} for q in (points, pts))
+                checked = any(out is c for c in calls["checked"])
+                (last if checked else rounds).append((tested, against, out))
+            certified = {p for p, _ in record["certified"]}
+            kept = {index[tuple(v)] for v in vs.vertices}
+            assert calls["kernel"] == len(calls["stacked"])
             assert calls["single"] == 0
             # Each round tests a strict subset of the points of the round before.
-            assert all(later < earlier for earlier, later in zip(rounds, rounds[1:]))
+            assert all(later[0] < earlier[0] for earlier, later in zip(rounds, rounds[1:]))
             assert certified <= kept
             if last:
-                ((tested, confirmed),) = last
-                assert tested and tested == confirmed - certified
+                tested, against, _ = last[0]
+                confirmed = tested | against
+                assert [t for t, _, _ in last] == [{i} for i in sorted(confirmed - certified)]
+                still_kept = set(confirmed)
+                for tested, against, out in last:
+                    still_kept -= tested
+                    assert against == still_kept
+                    if out.status[0] == latticenmf.simplex.INFEASIBLE:
+                        still_kept |= tested
+                assert kept == still_kept
                 assert kept <= confirmed
                 with_last += 1
             else:
@@ -478,7 +503,7 @@ class TestRounds:
     def test_failed_tests_raise_with_no_solve_alone(self, monkeypatch):
         # Every stacked test reports a fault: the first stacked solve of a set
         # (a round or the last pass) raises the first failed test's fault, and
-        # no problem is solved alone.
+        # no problem goes to the one-problem solver.
         state = np.random.default_rng(149)
         stacked = latticenmf.polytope.convex_combinations
         single = latticenmf.simplex.phase_one_feasible
@@ -559,6 +584,31 @@ class TestRounds:
         assert len(got) == len(expected)
         distance = np.abs(expected[:, None] - got[None]).max(axis=2)
         assert distance.min(axis=0).max() <= 1e-7 and distance.min(axis=1).max() <= 1e-7
+
+    def test_a_vertex_and_its_near_copy_are_not_dropped_together(self):
+        # Column 3 is column 0 moved 4e-9 along the edge towards column 1 and
+        # 1e-9 outward. Both are extremes of a coordinate and neither is
+        # certified; with tol_feas 1e-7 each lies in the hull of the others.
+        # Only the first tested, column 0, is dropped: column 3 is then
+        # tested against the points still kept, outside their hull.
+        x = np.array(
+            [
+                [0.6, 0.2, 0.2, 0.599999997],
+                [0.2, 0.6, 0.2, 0.200000004],
+                [0.2, 0.2, 0.6, 0.199999999],
+            ]
+        )
+        rng = distinct_values(basic_function(x))
+        assert hull_vertices(rng, tol_feas=1e-7).source_columns == (1, 2, 3)
+        a = np.vstack([x, x[0] + x[1]])
+        result = factorize(a, Tolerances(feas=1e-7))
+        assert result.p == 3
+        assert result.vertex_source_columns == (1, 2, 3)
+        assert result.warnings == ()
+        # With the default tolerance neither lies in the hull of the others.
+        result = factorize(a)
+        assert result.p == 4
+        assert result.vertex_source_columns == (0, 1, 2, 3)
 
 
 class TestCertificates:

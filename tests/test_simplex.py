@@ -268,24 +268,6 @@ class TestSolveStack:
             assert (whole.status[p] == simplex.FEASIBLE) == single.feasible
         assert set(whole.status) == {simplex.FEASIBLE, simplex.INFEASIBLE}
 
-    def test_skip_leaves_one_column_out(self):
-        state = np.random.default_rng(101)
-        for _ in range(20):
-            pts = state.dirichlet(np.ones(3), size=int(state.integers(2, 9)))
-            ends = np.arange(len(pts))
-            stack = convex_combinations(pts, pts, skip=ends)
-            assert (stack.x[ends, ends] == 0.0).all()
-            for j in ends:
-                assert (stack.status[j] == simplex.INFEASIBLE) == is_extreme_point(
-                    pts[j], np.delete(pts, j, axis=0)
-                )
-                # The skipped column is zeroed: the pivots are those of the
-                # system without it.
-                single = convex_combination(pts[j], np.delete(pts, j, axis=0))
-                assert stack.iterations[j] == single.iterations
-                x = np.zeros(len(pts) - 1) if single.x is None else single.x
-                assert np.array_equal(stack.x[j], np.insert(x, j, 0.0))
-
     def test_faults_are_reported_per_problem_with_the_messages_raised_alone(self):
         # The second system needs its entry 5e-11, below the pivot tolerance,
         # to meet its first equation. Its improving columns are all tiny
