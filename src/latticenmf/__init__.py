@@ -41,7 +41,6 @@ from .factorize import (
 )
 from .lattice import (
     ConvexExpansion,
-    PositiveBasis,
     basis_matrix,
     expand_in_vertices,
     find_nodes,
@@ -73,7 +72,6 @@ __all__ = [
     "IntermediateDimensionError",
     "InvalidEntryError",
     "NodeNotFoundError",
-    "PositiveBasis",
     "SimplexCheckError",
     "SimplexStalledError",
     "SingularMatrixError",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
@@ -32,51 +32,36 @@ _STATUS = {
     Classification.MINIMAL_LATTICE: "exact factorization through a minimal lattice-subspace",
 }
 
-_TOL_FLAGS = {
-    "tol_rank": ("rank", "pivot threshold for rank decisions (default 1e-9)"),
-    "tol_node": ("node", "zero threshold for node detection (default 1e-6)"),
-    "tol_dedup": ("dedup", "equality threshold for merging column shares (default 1e-9)"),
-    "tol_feas": ("feas", "feasibility threshold for the hull and expansion solves (default 1e-9)"),
-    "tol_recon": ("recon", "reconstruction residual bound (default 1e-8)"),
+# One flag --tol-<field> per Tolerances field; its help ends with the default.
+_TOL_HELP = {
+    "rank": "pivot threshold for rank decisions",
+    "node": "zero threshold for node detection",
+    "dedup": "equality threshold for merging column shares",
+    "feas": "feasibility threshold for the hull and expansion solves",
+    "recon": "reconstruction residual bound",
 }
 
 
-@dataclass
-class RunReport:
+def build_report(result: Factorization) -> dict:
     """What the batch run writes next to F and V (indices 1-based)."""
-
-    classification: str
-    p: int
-    r: int
-    mu: int
-    basic_rows: list[int]
-    nodes: list[int]
-    vertex_source_columns: list[int]
-    residual_inf: float
-    dropped_zero_columns: list[int]
-    warnings: list[str]
-    timings_ms: dict[str, float]
-
-
-def build_report(result: Factorization) -> RunReport:
-    return RunReport(
-        classification=result.classification.value,
-        p=result.p,
-        r=result.r,
-        mu=result.mu,
-        basic_rows=[i + 1 for i in result.basic_rows],
-        nodes=[j + 1 for j in result.nodes],
-        vertex_source_columns=[j + 1 for j in result.vertex_source_columns],
-        residual_inf=result.residual_inf,
-        dropped_zero_columns=[j + 1 for j in result.mask.dropped_columns],
-        warnings=list(result.warnings),
-        timings_ms={k: round(v, 3) for k, v in result.timings_ms.items()},
-    )
+    return {
+        "classification": result.classification.value,
+        "p": result.p,
+        "r": result.r,
+        "mu": result.mu,
+        "basic_rows": [i + 1 for i in result.basic_rows],
+        "nodes": [j + 1 for j in result.nodes],
+        "vertex_source_columns": [j + 1 for j in result.vertex_source_columns],
+        "residual_inf": result.residual_inf,
+        "dropped_zero_columns": [j + 1 for j in result.mask.dropped_columns],
+        "warnings": list(result.warnings),
+        "timings_ms": {k: round(v, 3) for k, v in result.timings_ms.items()},
+    }
 
 
-def render_text_report(report: RunReport) -> str:
+def render_text_report(report: dict) -> str:
     lines = []
-    for key, value in asdict(report).items():
+    for key, value in report.items():
         if key == "timings_ms":
             value = " ".join(f"{k}={v}" for k, v in value.items())
         elif isinstance(value, list):
@@ -112,18 +97,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="abort instead of warning when the factorization cannot reduce dimension",
     )
-    for flag, (_, help_text) in _TOL_FLAGS.items():
-        parser.add_argument(f"--{flag.replace('_', '-')}", type=float, default=None, help=help_text)
+    for field in fields(Tolerances):
+        help_text = f"{_TOL_HELP[field.name]} (default {field.default:g})"
+        parser.add_argument(f"--tol-{field.name}", type=float, default=None, help=help_text)
     return parser
 
 
 def _tolerances_from(args: argparse.Namespace) -> Tolerances:
-    overrides = {}
-    for flag, (field, _) in _TOL_FLAGS.items():
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field] = value
-    return Tolerances(**overrides)
+    values = {field.name: getattr(args, f"tol_{field.name}") for field in fields(Tolerances)}
+    return Tolerances(**{name: value for name, value in values.items() if value is not None})
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -164,9 +146,7 @@ def run(argv: list[str] | None = None) -> int:
 
         report = build_report(result)
         if args.report == "json":
-            (out_dir / "report.json").write_text(
-                json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
-            )
+            (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
         else:
             (out_dir / "report.txt").write_text(render_text_report(report), encoding="utf-8")
     except OSError as err:

@@ -12,7 +12,6 @@ from .basic import basic_function, distinct_values, select_basic_set
 from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
 from .errors import ZeroMatrixError
 from .lattice import (
-    PositiveBasis,
     basis_matrix,
     expand_in_vertices,
     find_nodes,
@@ -39,7 +38,11 @@ class ZeroColumnMask:
 
     original_width: int
     kept_columns: tuple[int, ...]
-    dropped_columns: tuple[int, ...]
+
+    @property
+    def dropped_columns(self) -> tuple[int, ...]:
+        kept = set(self.kept_columns)
+        return tuple(j for j in range(self.original_width) if j not in kept)
 
 
 def strip_zero_columns(a1) -> tuple[np.ndarray, ZeroColumnMask]:
@@ -49,8 +52,7 @@ def strip_zero_columns(a1) -> tuple[np.ndarray, ZeroColumnMask]:
     kept = tuple(int(j) for j in np.flatnonzero(sums > 0.0))
     if not kept:
         raise ZeroMatrixError("zero matrix")
-    dropped = tuple(int(j) for j in np.flatnonzero(sums == 0.0))
-    mask = ZeroColumnMask(a1.shape[1], kept, dropped)
+    mask = ZeroColumnMask(a1.shape[1], kept)
     return np.ascontiguousarray(a1[:, kept]), mask
 
 
@@ -67,12 +69,15 @@ def reinsert_zero_columns(v, mask: ZeroColumnMask) -> np.ndarray:
     return out
 
 
-def build_f(a, basis: PositiveBasis) -> np.ndarray:
-    """Columns of ``a`` at the node columns, each scaled by the node value."""
+def build_f(a, vectors, nodes) -> np.ndarray:
+    """Columns of ``a`` at the node columns, each divided by its node value.
+
+    Row k of ``vectors`` is a positive-basis vector and ``nodes[k]`` its node
+    column: where vector k is positive and every other vector vanishes.
+    """
     a = as_matrix(a)
-    nodes = list(basis.nodes)
-    node_values = basis.vectors[np.arange(len(nodes)), nodes]
-    return a[:, nodes] / node_values
+    nodes = list(nodes)
+    return a[:, nodes] / vectors[np.arange(len(nodes)), nodes]
 
 
 def classify(r: int, d: int, mu: int, m: int) -> Classification:
@@ -209,7 +214,7 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
         )
     nodes_stripped = run("nodes", find_nodes, vectors, tol.node)
 
-    f = build_f(a, PositiveBasis(vectors, nodes_stripped))
+    f = build_f(a, vectors, nodes_stripped)
     v = reinsert_zero_columns(vectors, mask)
     residual = residual_inf(a1, f, v)
     timings["assemble"] = (time.perf_counter() - t_last) * 1000.0

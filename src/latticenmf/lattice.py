@@ -95,15 +95,6 @@ def positive_basis(l, y, tol_rank: float = 1e-9, tol_node: float = 1e-6) -> np.n
     return basis
 
 
-@dataclass(frozen=True, eq=False)
-class PositiveBasis:
-    """Rows are the positive-basis vectors; ``nodes[k]`` is the column
-    where vector k is positive and all other vectors vanish."""
-
-    vectors: np.ndarray  # d x m
-    nodes: tuple[int, ...]
-
-
 def find_nodes(basis, tol_node: float = 1e-6) -> tuple[int, ...]:
     """Smallest node column for each basis vector.
 

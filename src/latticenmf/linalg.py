@@ -10,13 +10,11 @@ from LAPACK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import InvalidEntryError, SingularMatrixError, ZeroMatrixError
-
-_TOLERANCE_FIELDS = ("rank", "node", "dedup", "feas", "recon")
 
 
 @dataclass(frozen=True)
@@ -37,10 +35,10 @@ class Tolerances:
     recon: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in _TOLERANCE_FIELDS:
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not np.isfinite(value) or value < 0:
-                raise ValueError(f"tolerance {name!r} must be finite and >= 0")
+                raise ValueError(f"tolerance {field.name!r} must be finite and >= 0")
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

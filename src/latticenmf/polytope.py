@@ -156,7 +156,8 @@ def _certify(scores, w, tie_tol: float):
     """The point of largest score in each column of ``scores`` (``points @
     w.T``), and whether it beats every other point by more than ``2 *
     tie_tol * |(w, c)|_inf``, ``c`` minus the runner-up's score: the gap
-    that proves it extreme (see ``hull_vertices``). ``scores`` is restored."""
+    that proves it extreme (see ``hull_vertices``). A lone point has no
+    other point to beat and is proven too. ``scores`` is restored."""
     columns = np.arange(scores.shape[1])
     winners = scores.argmax(axis=0)
     top = scores[winners, columns]
@@ -164,7 +165,7 @@ def _certify(scores, w, tie_tol: float):
     runner_up = scores.max(axis=0)
     scores[winners, columns] = top
     norm = np.maximum(np.abs(w).max(axis=1), np.abs(runner_up))
-    return winners, top - runner_up > 2.0 * tie_tol * norm
+    return winners, (runner_up == -np.inf) | (top - runner_up > 2.0 * tie_tol * norm)
 
 
 def segment_vertices(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> VertexSet:

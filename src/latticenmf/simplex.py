@@ -233,19 +233,6 @@ def _solution_faults(a, b, x, a_scale, b_scale, tol_feas: float):
     return status, np.where(negative, lowest, np.where(missed, residual, 0.0))
 
 
-def _check_solution(a, b, x, tol_feas: float) -> None:
-    """Raise SimplexCheckError unless ``x`` is nonnegative and solves
-    ``a @ x == b`` within the solver's own bounds. A real check rather than
-    an assert, so it also runs under ``python -O``."""
-    a, b = np.atleast_2d(a), np.ravel(b)
-    out = StackResult(1, *a.shape)
-    out.status, out.detail = _solution_faults(
-        a[None], b[None], np.ravel(x)[None].astype(float),
-        np.abs(a).max(initial=0.0)[None], np.abs(b).max(initial=0.0)[None], tol_feas,
-    )
-    out.raise_fault(0)
-
-
 def phase_one_feasible(
     problem: FeasibilityProblem,
     tol_feas: float = 1e-9,

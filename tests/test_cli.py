@@ -1,10 +1,13 @@
+import dataclasses
 import importlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from latticenmf.cli import run
+from latticenmf import Tolerances
+from latticenmf.cli import _tolerances_from, build_parser, run
 from latticenmf.matio import read_matrix, write_matrix
 
 from data import MINLAT_6X6, NRF_5X4
@@ -155,3 +158,25 @@ def test_unwritable_out_dir_exits_one(tmp_path, capsys):
     blocker.write_text("")
     assert run([str(source), "--out-dir", str(blocker / "out")]) == 1
     assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_each_tolerance_field_has_a_flag_stating_its_default():
+    parser = build_parser()
+    flags = {a.dest: a for a in parser._actions if a.dest.startswith("tol_")}
+    defaults = {f.name: f.default for f in dataclasses.fields(Tolerances)}
+    assert sorted(flags) == sorted(f"tol_{name}" for name in defaults)
+    for name, default in defaults.items():
+        action = flags[f"tol_{name}"]
+        assert action.option_strings == [f"--tol-{name}"]
+        assert float(re.search(r"\(default (\S+)\)$", action.help).group(1)) == default
+        tol = _tolerances_from(parser.parse_args(["a.csv", f"--tol-{name}", "0.25"]))
+        assert tol == dataclasses.replace(Tolerances(), **{name: 0.25})
+
+
+def test_text_and_json_reports_list_the_same_keys_in_order(tmp_path):
+    source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
+    assert run([str(source), "--out-dir", str(tmp_path / "json")]) == 0
+    assert run([str(source), "--report", "text", "--out-dir", str(tmp_path / "text")]) == 0
+    json_keys = list(json.loads((tmp_path / "json" / "report.json").read_text()))
+    text = (tmp_path / "text" / "report.txt").read_text()
+    assert [line.split(":")[0] for line in text.splitlines()] == json_keys

@@ -10,7 +10,6 @@ from latticenmf import (
     ConvexExpansion,
     ExpansionInfeasibleError,
     NodeNotFoundError,
-    PositiveBasis,
     SimplexStalledError,
     VertexSet,
     basic_function,
@@ -346,7 +345,7 @@ class TestBasisProperties:
     def test_rows_have_nonnegative_coordinates(self):
         result = factorize(MINLAT_6X6)
         stripped = MINLAT_6X6[:, list(result.mask.kept_columns)]
-        f = build_f(stripped, PositiveBasis(result.V, result.nodes))
+        f = build_f(stripped, result.V, result.nodes)
         assert f.min() >= 0.0
 
     def test_basic_rows_lie_in_basis_row_span(self):
@@ -368,5 +367,5 @@ class TestBasisProperties:
                 scaled[k] *= c
                 nodes = find_nodes(scaled)
                 assert nodes == result.nodes_stripped
-                f = build_f(stripped, PositiveBasis(scaled, nodes))
+                f = build_f(stripped, scaled, nodes)
                 assert np.abs(f @ scaled - MINLAT_6X6).max() <= 1e-9

@@ -500,6 +500,15 @@ class TestRounds:
             monkeypatch.undo()
         assert with_last and without_last
 
+    def test_a_lone_point_is_certified_with_no_solve(self, monkeypatch):
+        # A rank-1 input has one unique share. With no other point to beat
+        # it is certified, so the last pass has nothing to solve.
+        calls = self._counting(monkeypatch)
+        result = factorize(np.outer([1.0, 2.0, 3.0], [1.0, 4.0, 0.0, 2.0]))
+        assert result.p == 1
+        assert calls["stacked"] == []
+        assert calls["kernel"] == 0
+
     def test_failed_tests_raise_with_no_solve_alone(self, monkeypatch):
         # Every stacked test reports a fault: the first stacked solve of a set
         # (a round or the last pass) raises the first failed test's fault, and

@@ -32,6 +32,17 @@ def _check_solution(a_eq, b_eq, x, tol=1e-9):
     assert np.abs(a_eq @ x - b_eq).max() <= tol * (1.0 + np.abs(b_eq).max())
 
 
+def _solver_verdict(a, b, x, tol_feas=1e-9):
+    """One-problem StackResult with the status and detail the solver's own
+    checks (``_solution_faults``) give ``x`` for ``a @ x == b``."""
+    a, b, x = np.atleast_2d(a), np.ravel(b), np.ravel(x).astype(float)
+    out = simplex.StackResult(1, *a.shape)
+    out.status, out.detail = simplex._solution_faults(
+        a[None], b[None], x[None], np.abs(a).max()[None], np.abs(b).max()[None], tol_feas
+    )
+    return out
+
+
 class TestPhaseOne:
     def test_identity_plus_sum_row(self):
         a_eq = np.vstack([np.eye(3), np.ones(3)])
@@ -150,14 +161,14 @@ class TestPhaseOne:
 
     def test_check_solution_rejects_a_negative_entry(self):
         a, b = np.eye(2), np.array([1.0, 0.0])
-        simplex._check_solution(a, b, np.array([1.0, 0.0]), 1e-9)
+        _solver_verdict(a, b, np.array([1.0, 0.0])).raise_fault(0)
         with pytest.raises(SimplexCheckError, match="negative"):
-            simplex._check_solution(a, b, np.array([1.0, -1e-3]), 1e-9)
+            _solver_verdict(a, b, np.array([1.0, -1e-3])).raise_fault(0)
 
     def test_check_solution_rejects_a_large_residual(self):
         a, b = np.eye(2), np.array([1.0, 0.0])
         with pytest.raises(SimplexCheckError, match="misses") as raised:
-            simplex._check_solution(a, b, np.array([1.0, 1e-3]), 1e-9)
+            _solver_verdict(a, b, np.array([1.0, 1e-3])).raise_fault(0)
         assert isinstance(raised.value, FactorizationError)
 
 
@@ -245,7 +256,7 @@ class TestSolveStack:
                 assert stack.iterations[p] == single.iterations
                 if single.feasible:
                     assert stack.status[p] == simplex.FEASIBLE
-                    simplex._check_solution(a[p], b[p], stack.x[p], 1e-9)
+                    _solver_verdict(a[p], b[p], stack.x[p]).raise_fault(0)
                     assert np.abs(stack.x[p] - single.x).max() <= 1e-12
                     continue
                 assert stack.status[p] == simplex.INFEASIBLE
@@ -297,9 +308,15 @@ from latticenmf import FeasibilityProblem, SimplexCheckError, simplex
 print(__debug__)
 a = np.zeros((3, 6))
 a[0, 0], a[1, 0], a[1, 1], a[2, 2] = 5e-11, 2e-10, 5e-6, 5.0
+# x solves eye @ x == b but for its negative entry; max|eye| = max|b| = 1.
+eye, b, x = np.eye(2), np.array([1.0, 0.0]), np.array([1.0, -1e-3])
+negative = simplex.StackResult(1, 2, 2)
+negative.status, negative.detail = simplex._solution_faults(
+    eye[None], b[None], x[None], np.ones(1), np.ones(1), 1e-9
+)
 checks = [
     lambda: simplex.phase_one_feasible(FeasibilityProblem(a, a[:, 0] + a[:, 1])),
-    lambda: simplex._check_solution(np.eye(2), [1.0, 0.0], [1.0, -1e-3], 1e-9),
+    lambda: negative.raise_fault(0),
 ]
 for check in checks:
     try:
