@@ -34,6 +34,7 @@ def expand_in_vertices(
     (the hull pass's weights). The columns whose row is missing or misses
     their own point by more than ``tol_feas`` are solved again, together in
     one stacked solve over the vertices: one valid combination among many.
+    With none of them, nothing is solved.
     """
     d = vs.d
     membership = np.asarray(rng.membership)
@@ -46,15 +47,16 @@ def expand_in_vertices(
     # NaN rows (missing) fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
     missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))
-    solved = convex_combinations(table.points[missing], vs.vertices, tol_feas)
-    failed = np.flatnonzero(solved.status != FEASIBLE)
-    if failed.size:
-        solved.raise_fault(failed[0])
-        raise ExpansionInfeasibleError(
-            f"column {missing[failed[0]]}: not a convex combination of the vertices "
-            f"(infeasibility {solved.infeasibility[failed[0]]:.3e})"
-        )
-    coefficients[missing] = solved.x
+    if missing.size:
+        solved = convex_combinations(table.points[missing], vs.vertices, tol_feas)
+        failed = np.flatnonzero(solved.status != FEASIBLE)
+        if failed.size:
+            solved.raise_fault(failed[0])
+            raise ExpansionInfeasibleError(
+                f"column {missing[failed[0]]}: not a convex combination of the vertices "
+                f"(infeasibility {solved.infeasibility[failed[0]]:.3e})"
+            )
+        coefficients[missing] = solved.x
     # Solver entries a rounding error below zero pass its checks; convex
     # weights have none.
     return ConvexExpansion(np.maximum(coefficients, 0.0))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -13,6 +15,10 @@ from .simplex import FEASIBLE, INFEASIBLE, convex_combinations
 
 # Score entries computed at once when picking points along many directions.
 _SCORE_ENTRIES = 1 << 18
+
+# Simplices of confirmed points a round tries on the pending points before
+# its stacked solve; fewer when there are fewer subsets.
+_COVER_SUBSETS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +55,19 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     the points not yet resolved are tested again. A test that fails is
     retried in the next round; a round whose tests give no pick raises the
     first failed test's fault.
+
+    Simplex cover. Before its solve, a round tries simplices of ``r``
+    confirmed points on the pending points (Akl & Toussaint 1978): every
+    ``r``-subset in lexicographic order when there are at most
+    ``_COVER_SUBSETS``, which by Caratheodory covers every point strictly
+    inside the confirmed hull, otherwise that many drawn by a generator
+    seeded afresh for each call. A point whose weights on some subset are
+    nonnegative and miss the ``r`` coordinate equations and the unit sum
+    by at most ``tol_feas * (1 + max(1, max|p|))`` in total, the objective
+    at which the solve declares it feasible, is interior and keeps those
+    weights; only the points left go to the solve. Each problem of a stack
+    pivots as it would alone, so the infeasible tests, their duals and the
+    picks are those of a round that solved every pending point.
 
     Certificates. Let ``p`` beat every other point on ``points @ w`` by
     ``g > 0`` and let ``c = -max_{q != p} w.q``. Then ``y = (w, c) /
@@ -115,9 +134,16 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     extreme_along(np.vstack([np.eye(r), -np.eye(r), points - points.mean(axis=0)]), pick=False)
     confirmed |= certified
     tested = []  # (interior points, points confirmed at their test, their weights on them)
+    draws = np.random.default_rng(0)
     pending = np.flatnonzero(~confirmed)
     while pending.size:
         over = np.flatnonzero(confirmed)
+        covered, x = _simplex_cover(points[pending], points[over], tol_feas, draws)
+        interior[pending[covered]] = True
+        tested.append((pending[covered], over, x))
+        pending = pending[~covered]
+        if not pending.size:
+            break
         test = convex_combinations(points[pending], points[over], tol_feas)
         resolved = test.status == FEASIBLE
         directions = test.dual[test.status == INFEASIBLE, :-1]
@@ -150,6 +176,51 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         r=r,
         unique_coefficients=coefficients,
     )
+
+
+def _simplex_cover(points, pts, tol_feas: float, draws: np.random.Generator):
+    """Which rows of ``points`` lie in the simplex of some ``r`` rows of
+    ``pts``, and the weights of those covered on the rows of ``pts``.
+
+    Every ``r``-subset of ``pts`` is tried in lexicographic order when there
+    are at most ``_COVER_SUBSETS`` of them, otherwise ``_COVER_SUBSETS``
+    drawn from ``draws``; singular ones are skipped. A row is covered by
+    the first subset whose weights are nonnegative and miss the ``r``
+    coordinate equations and the unit sum by at most ``tol_feas * (1 +
+    max(1, max|p|))`` in total (see ``hull_vertices``)."""
+    (count, r), q = points.shape, len(pts)
+    if comb(q, r) <= _COVER_SUBSETS:
+        subsets = np.array(list(combinations(range(q), r)), dtype=int).reshape(-1, r)
+    else:
+        subsets = np.argsort(draws.random((_COVER_SUBSETS, q)), axis=1)[:, :r]
+    simplices = pts[subsets].transpose(0, 2, 1)  # K x r x r, one point per column
+    try:
+        inverses = np.linalg.inv(simplices)
+    except np.linalg.LinAlgError:  # some det == 0: skip those subsets
+        regular = np.linalg.det(simplices) != 0.0
+        subsets, simplices = subsets[regular], simplices[regular]
+        inverses = np.linalg.inv(simplices)
+    covered, x = np.zeros(count, dtype=bool), np.zeros((count, q))
+    if not len(subsets):
+        return covered, x[covered]
+    inverses = inverses.reshape(-1, r)
+    step = max(1, _SCORE_ENTRIES // (len(subsets) * r * r))
+    for start in range(0, count, step):
+        p = points[start : start + step]
+        bound = tol_feas * (1.0 + np.maximum(1.0, np.abs(p).max(axis=1)))
+        # The subset's points on the middle axis, where reducing is fast.
+        lam = (inverses @ p.T).reshape(len(subsets), r, -1)  # K x r x P
+        inside = lam.min(axis=1) >= 0.0
+        # Residuals only of the nonnegative weights, a few of the K x P.
+        k, j = np.nonzero(inside)
+        w = lam[k, :, j]
+        residual = np.abs((simplices[k] @ w[:, :, None])[:, :, 0] - p[j]).sum(axis=1)
+        residual += np.abs(w.sum(axis=1) - 1.0)
+        inside[k, j] = residual <= bound[j]
+        first, hit = inside.argmax(axis=0), np.flatnonzero(inside.any(axis=0))
+        covered[start + hit] = True
+        x[start + hit[:, None], subsets[first[hit]]] = lam[first[hit], :, hit]
+    return covered, x[covered]
 
 
 def _certify(scores, w, tie_tol: float):

@@ -135,6 +135,20 @@ class TestExpansionPerDistinctValue:
                 assert (rows == rows[0]).all()
             assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
+    def test_no_column_to_solve_again_makes_no_solve(self, monkeypatch):
+        # Every column of MINLAT_6X6 takes the hull pass's row, so the
+        # fallback makes no call, not even one over zero columns.
+        calls = []
+        solver = latticenmf.lattice.convex_combinations
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.lattice, "convex_combinations", counted)
+        assert factorize(MINLAT_6X6).p == 4
+        assert calls == []
+
     def test_member_not_reproduced_by_the_shared_row_gets_its_own_solve(self, monkeypatch):
         calls = self._counting(monkeypatch)
         # A coarse dedup tolerance merges the last column into the interior

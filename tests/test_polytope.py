@@ -1,4 +1,5 @@
 from itertools import combinations, islice, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from latticenmf import (
 )
 from latticenmf.simplex import convex_combination
 
-from data import MINLAT_6X6, MINLAT_8X11, NRF_5X4, RANK2_ROWS
+from data import DIAGBLOCK_6X6, MINLAT_6X6, MINLAT_8X11, NRF_5X4, RANK2_ROWS
 from oracles import hull_contains
 
 
@@ -544,17 +545,22 @@ class TestRounds:
         assert raised and calls["single"] == 0
 
     def test_a_fault_no_round_can_pass_raises_with_stage_vertices(self, monkeypatch):
+        # The simplex cover settles every point of MINLAT_8X11 with no
+        # solve; on DIAGBLOCK_6X6 a round still solves.
         stacked = latticenmf.polytope.convex_combinations
+        calls = []
 
         def failing(*args, **kwargs):
             out = stacked(*args, **kwargs)
             out.status[:] = latticenmf.simplex.MISSED_EQUATIONS
+            calls.append(out)
             return out
 
         monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
         with pytest.raises(SimplexCheckError) as raised:
-            factorize(MINLAT_8X11)
+            factorize(DIAGBLOCK_6X6)
         assert raised.value.stage == "vertices"
+        assert calls
 
     def test_near_corner_points_match_the_point_by_point_pass(self):
         # Corners plus one point 1e-8..1e-7 along every edge from each corner.
@@ -618,6 +624,94 @@ class TestRounds:
         result = factorize(a)
         assert result.p == 4
         assert result.vertex_source_columns == (0, 1, 2, 3)
+
+
+class TestSimplexCover:
+    @staticmethod
+    def _runs(monkeypatch, seed, count=30, near_corner=True):
+        """``(rng, events)`` of ``hull_vertices`` on ``count`` Dirichlet and,
+        with ``near_corner``, ``count`` near-corner sets. ``events`` lists in
+        call order each simplex cover as ``("cover", points tried, confirmed
+        points, covered, weights)`` and each stacked solve as ``("solve",
+        points, pts, result)``."""
+        state = np.random.default_rng(seed)
+        cover, stacked = latticenmf.polytope._simplex_cover, latticenmf.polytope.convex_combinations
+        sets = list(_small_sets(state, count))
+        if near_corner:
+            sets += _near_corner_sets(state, count)
+        for rng in sets:
+            events = []
+
+            def recorded_cover(points, pts, *args):
+                covered, x = cover(points, pts, *args)
+                events.append(("cover", points, pts, covered, x))
+                return covered, x
+
+            def recorded_stack(points, pts, *args, **kwargs):
+                out = stacked(points, pts, *args, **kwargs)
+                events.append(("solve", points, pts, out))
+                return out
+
+            monkeypatch.setattr(latticenmf.polytope, "_simplex_cover", recorded_cover)
+            monkeypatch.setattr(latticenmf.polytope, "convex_combinations", recorded_stack)
+            hull_vertices(rng)
+            monkeypatch.undo()
+            yield rng, events
+
+    def test_covered_rows_are_convex_weights_that_reproduce_the_point(self, monkeypatch):
+        covered_points = 0
+        for rng, events in self._runs(monkeypatch, 167):
+            for _, points, pts, covered, x in (e for e in events if e[0] == "cover"):
+                assert x.shape == (covered.sum(), len(pts))
+                assert x.min(initial=0.0) >= 0.0
+                assert np.abs(x.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9
+                assert np.abs(x @ pts - points[covered]).max(initial=0.0) <= 1e-9
+                assert ((x > 0).sum(axis=1) <= rng.unique_points.shape[1]).all()
+                covered_points += covered.sum()
+        assert covered_points >= 300
+
+    def test_the_solver_finds_every_covered_point_feasible(self, monkeypatch):
+        covered_points = 0
+        for _, events in self._runs(monkeypatch, 173):
+            for _, points, pts, covered, _ in (e for e in events if e[0] == "cover"):
+                for point in points[covered]:
+                    assert convex_combination(point, pts).feasible
+                    covered_points += 1
+        assert covered_points >= 300
+
+    def test_with_every_subset_tried_no_solve_finds_a_point_interior(self, monkeypatch):
+        # By Caratheodory a point strictly inside the hull of the confirmed
+        # points lies in a simplex of r of them; with all r-subsets tried, a
+        # round sends only the points outside, which the solve finds
+        # infeasible. Points of Dirichlet sets are never on a face; those
+        # next to a corner's edges are, within rounding.
+        rounds = 0
+        for rng, events in self._runs(monkeypatch, 179, count=100, near_corner=False):
+            r = rng.unique_points.shape[1]
+            for event, after in zip(events, events[1:]):
+                if event[0] != "cover" or after[0] != "solve":
+                    continue
+                _, points, pts, covered, _ = event
+                if comb(len(pts), r) > latticenmf.polytope._COVER_SUBSETS:
+                    continue
+                assert np.array_equal(after[1], points[~covered])
+                assert np.array_equal(after[2], pts)
+                assert (after[3].status == latticenmf.simplex.INFEASIBLE).all()
+                rounds += 1
+        assert rounds >= 30
+
+    @pytest.mark.parametrize("a", [MINLAT_6X6, MINLAT_8X11], ids=["MINLAT_6X6", "MINLAT_8X11"])
+    def test_worked_matrices_make_no_hull_solve(self, monkeypatch, a):
+        stacked = latticenmf.polytope.convex_combinations
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return stacked(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.polytope, "convex_combinations", counted)
+        factorize(a)
+        assert calls == []
 
 
 class TestCertificates:
