@@ -49,10 +49,10 @@ def strip_zero_columns(a1) -> tuple[np.ndarray, ZeroColumnMask]:
     """Drop columns whose sum is zero; the mask records the positions."""
     a1 = as_matrix(a1)
     sums = a1.sum(axis=0)
-    kept = tuple(int(j) for j in np.flatnonzero(sums > 0.0))
-    if not kept:
+    kept = np.flatnonzero(sums > 0.0)
+    if not kept.size:
         raise ZeroMatrixError("zero matrix")
-    mask = ZeroColumnMask(a1.shape[1], kept)
+    mask = ZeroColumnMask(a1.shape[1], tuple(kept.tolist()))
     return np.ascontiguousarray(a1[:, kept]), mask
 
 

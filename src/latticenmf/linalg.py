@@ -130,11 +130,15 @@ def greedy_independent_rows(m, tol_rank: float = 1e-9) -> list[int]:
     # the same eliminations in the same order as in a row-by-row scan.
     rows = a.copy()
     while len(kept) < min(a.shape):
-        start = kept[-1] + 1 if kept else 0
-        above = np.flatnonzero(np.abs(rows[start:]).max(axis=1) > threshold)
-        if not above.size:
+        i = kept[-1] + 1 if kept else 0
+        if i == a.shape[0]:
             break
-        i = start + int(above[0])
+        # The next row is nearly always kept; scan the rest only when not.
+        if np.abs(rows[i]).max() <= threshold:
+            above = np.flatnonzero(np.abs(rows[i + 1 :]).max(axis=1) > threshold)
+            if not above.size:
+                break
+            i += 1 + int(above[0])
         pivot_col = int(np.argmax(np.abs(rows[i])))
         later = rows[i + 1 :]
         later -= (later[:, pivot_col] / rows[i, pivot_col])[:, None] * rows[i]

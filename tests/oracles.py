@@ -108,6 +108,36 @@ def distinct_values_loop(points, tol_dedup: float = 1e-9):
     return np.array(uniques), tuple(representatives), tuple(membership), merged_inexact
 
 
+def distinct_values_claims(points, tol_dedup: float = 1e-9):
+    """The whole-array claim loop: in column order, each first still
+    unassigned point claims every unassigned point within ``tol_dedup`` in
+    max-norm. Same result as ``distinct_values_loop``, fast enough for
+    tens of thousands of points.
+
+    Returns ``(unique_points, representatives, membership, merged_inexact)``.
+    """
+    pts = np.asarray(points, dtype=float)
+    owner = np.arange(len(pts))
+    coordinates = np.ascontiguousarray(pts.T)
+    unassigned = np.ones(len(pts), dtype=bool)
+    merged_inexact = False
+    while unassigned.any():
+        first = int(unassigned.argmax())
+        diff = np.abs(coordinates - coordinates[:, first, None]).max(axis=0)
+        claimed = unassigned & (diff <= tol_dedup)
+        owner[claimed] = first
+        merged_inexact = merged_inexact or bool((diff[claimed] > 0.0).any())
+        unassigned &= ~claimed
+    representatives = np.unique(owner)
+    membership = np.searchsorted(representatives, owner)
+    return (
+        pts[representatives],
+        tuple(representatives.tolist()),
+        tuple(membership.tolist()),
+        merged_inexact,
+    )
+
+
 def isolated_points_loop(points, tol_dedup: float = 1e-9):
     """For each point, whether every other point is more than ``tol_dedup``
     away in max-norm, by comparing all pairs."""

@@ -15,7 +15,7 @@ from latticenmf import (
 )
 
 from data import MINLAT_6X6, NRF_5X4, SUBLAT_8X10
-from oracles import distinct_values_loop, isolated_points_loop
+from oracles import distinct_values_claims, distinct_values_loop, isolated_points_loop
 
 
 def test_select_basic_set_keeps_scan_order():
@@ -159,18 +159,69 @@ def _mixed_shares(state, tol):
     return points[state.permutation(len(points))]
 
 
-def test_isolated_points_are_isolated_in_the_pairwise_loop():
+def test_sorted_runs_agree_with_the_pairwise_distances():
     tol = 1e-9
     state = np.random.default_rng(71)
     for _ in range(100):
         points = _mixed_shares(state, tol)
-        got = basic._isolated(points, tol)
+        order, starts, spread = basic._sorted_runs(points, tol)
+        # Runs are cut exactly where a step in the first coordinate exceeds tol.
+        steps = np.diff(points[order, 0]) > tol
+        assert np.array_equal(np.flatnonzero(steps) + 1, starts[1:]) and starts[0] == 0
+        run = np.empty(len(points), dtype=int)
+        run[order] = np.repeat(np.arange(starts.size), np.diff(starts, append=len(points)))
+        distance = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
+        # Points of different runs are farther apart than the tolerance.
+        assert (distance[run[:, None] != run[None, :]] > tol).all()
+        # A run with its spread within the tolerance is pairwise within it.
+        for k in np.flatnonzero(spread <= tol):
+            members = run == k
+            assert (distance[np.ix_(members, members)] <= tol).all()
+        # A lone point is isolated.
         truth = isolated_points_loop(points, tol)
-        assert all(t for g, t in zip(got, truth) if g)
-        # Points apart in the first coordinate are found exactly.
-        spread = np.abs(points[:, None, 0] - points[None, :, 0]) > tol
-        np.fill_diagonal(spread, True)
-        assert all(g == t for g, t, apart in zip(got, truth, spread.all(axis=1)) if apart)
+        assert all(truth[i] for i in order[starts[np.diff(starts, append=len(points)) == 1]])
+
+
+def _assert_matches(points, tol, oracle=distinct_values_loop):
+    got = distinct_values(BasicFunctionTable(points=points, sums=np.ones(len(points))), tol)
+    uniques, representatives, membership, merged_inexact = oracle(points, tol)
+    assert np.array_equal(got.unique_points, uniques)
+    assert got.representative_column == representatives
+    assert got.membership == membership
+    assert got.merged_inexact == merged_inexact
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-6])
+def test_distinct_values_matches_the_column_scan_on_clusters_around_the_tolerance(tol):
+    # Clusters spread over 0.5, 0.99, 1.0 and 1.01 times the tolerance are
+    # one tight run or a wide run; points sharing a first coordinate far
+    # apart in the others form a wide run; exact repeats form tight runs.
+    state = np.random.default_rng(79)
+    for _ in range(60):
+        r = int(state.integers(2, 6))
+        parts = []
+        for factor in (0.5, 0.99, 1.0, 1.01):
+            for center in state.dirichlet(np.ones(r), size=int(state.integers(1, 4))):
+                offsets = state.uniform(0.0, 1.0, size=(int(state.integers(2, 6)), r))
+                offsets[:2] = np.eye(2, r)[state.permutation(2)]
+                parts.append(center + factor * max(tol, 1e-9) * offsets)
+        shared = state.dirichlet(np.ones(r), size=4)
+        shared[:, 0] = parts[0][0, 0]
+        parts.append(shared)
+        base = np.vstack(parts)
+        parts.append(base[state.integers(0, len(base), size=5)])
+        points = np.vstack(parts)
+        _assert_matches(points[state.permutation(len(points))], tol)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-3])
+def test_distinct_values_matches_the_claim_loop_on_many_clusters(tol):
+    # 20000 columns repeating 2000 shares, each rescaled so that the
+    # normalized repeats agree only up to rounding.
+    state = np.random.default_rng(83)
+    shares = state.dirichlet(np.full(4, 20.0), size=2000)
+    x = shares[state.integers(0, 2000, size=20000)].T * state.uniform(50.0, 500.0, size=20000)
+    _assert_matches(basic_function(x).points, tol, distinct_values_claims)
 
 
 def test_distinct_values_matches_the_column_scan_with_isolated_points():
