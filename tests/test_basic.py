@@ -177,9 +177,23 @@ def test_sorted_runs_agree_with_the_pairwise_distances():
         for k in np.flatnonzero(spread <= tol):
             members = run == k
             assert (distance[np.ix_(members, members)] <= tol).all()
+
+
+def test_isolated_points_are_isolated_in_the_pairwise_loop():
+    tol = 1e-9
+    state = np.random.default_rng(71)
+    for _ in range(100):
+        points = _mixed_shares(state, tol)
+        order, starts, _ = basic._sorted_runs(points, tol)
+        lone = np.zeros(len(points), dtype=bool)
+        lone[order[starts[np.diff(starts, append=len(points)) == 1]]] = True
         # A lone point is isolated.
         truth = isolated_points_loop(points, tol)
-        assert all(truth[i] for i in order[starts[np.diff(starts, append=len(points)) == 1]])
+        assert all(t for g, t in zip(lone, truth) if g)
+        # Points apart in the first coordinate are found exactly.
+        apart = np.abs(points[:, None, 0] - points[None, :, 0]) > tol
+        np.fill_diagonal(apart, True)
+        assert np.array_equal(lone, apart.all(axis=1))
 
 
 def _assert_matches(points, tol, oracle=distinct_values_loop):
