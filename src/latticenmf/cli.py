@@ -8,6 +8,7 @@ is 0-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -103,15 +104,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# run's parser, built on first use: parse_args leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def _tolerances_from(args: argparse.Namespace) -> Tolerances:
     values = {field.name: getattr(args, f"tol_{field.name}") for field in fields(Tolerances)}
     return Tolerances(**{name: value for name, value in values.items() if value is not None})
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 

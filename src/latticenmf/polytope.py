@@ -44,8 +44,10 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     smallest value in each coordinate, exact ties broken to the
     lexicographic maximum (a vertex of the face they span), and with the
     points certified (below) along the direction from the centroid to each
-    point. Each round tests every unique point not yet resolved against the
-    hull of the confirmed points, in one stacked phase-one solve. A
+    point. Each round first tries the simplex cover (below) on every unique
+    point not yet resolved, and picks along the cover's facet directions
+    when it has any. Only a round without one tests the points left against
+    the hull of the confirmed points, in one stacked phase-one solve. A
     feasible test makes the point interior. An infeasible one yields a
     separating direction ``w`` (the phase-one dual); the pending point
     maximizing ``w``, near-ties broken to the lexicographic maximum, lies
@@ -56,18 +58,35 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     retried in the next round; a round whose tests give no pick raises the
     first failed test's fault.
 
-    Simplex cover. Before its solve, a round tries simplices of ``r``
-    confirmed points on the pending points (Akl & Toussaint 1978): every
-    ``r``-subset in lexicographic order when there are at most
-    ``_COVER_SUBSETS``, which by Caratheodory covers every point strictly
-    inside the confirmed hull, otherwise that many drawn by a generator
-    seeded afresh for each call. A point whose weights on some subset are
-    nonnegative and miss the ``r`` coordinate equations and the unit sum
-    by at most ``tol_feas * (1 + max(1, max|p|))`` in total, the objective
-    at which the solve declares it feasible, is interior and keeps those
-    weights; only the points left go to the solve. Each problem of a stack
-    pivots as it would alone, so the infeasible tests, their duals and the
-    picks are those of a round that solved every pending point.
+    Simplex cover. A round tries simplices of ``r`` confirmed points on the
+    pending points (Akl & Toussaint 1978): every ``r``-subset in
+    lexicographic order when there are at most ``_COVER_SUBSETS``, which by
+    Caratheodory covers every point strictly inside the confirmed hull,
+    otherwise that many drawn by a generator seeded afresh for each call. A
+    point whose weights on some subset are nonnegative and miss the ``r``
+    coordinate equations and the unit sum by at most ``tol_feas * (1 +
+    max(1, max|p|))`` in total, the objective at which the solve declares
+    it feasible, is interior and keeps those weights.
+
+    Facet separation (Dula & Lopez 2012). Row ``i`` of a subset's inverse is
+    its barycentric functional ``lambda_i``, and with ``eps_i = tie_tol *
+    |lambda_i|_inf`` it is a facet row when ``lambda_i(q) >= -eps_i`` on
+    every confirmed ``q``. A facet row with ``lambda_i(p) < -4 * eps_i`` at
+    some uncovered pending ``p`` gives the direction ``w = -lambda_i``, and
+    a round with such directions confirms the pending point maximizing each
+    one, as above, with no solve. The picks are extreme: confirmed points
+    score at most ``eps_i`` along ``w``, interior points are convex
+    combinations of them and score no higher, and ``p`` scores above ``4 *
+    eps_i``, so ``w`` is maximized over all points at a pending point. The
+    rounds end: each facet round confirms at least one pending point. And
+    with every ``r``-subset tried none is solved in exact arithmetic: each
+    facet of the confirmed hull has ``r - 1`` independent confirmed points
+    on it, which with one confirmed point off it form a subset whose
+    opposite row is that facet, so every uncovered point is separated.
+    ``eps_i`` grows with the row because a corner and its near copy make
+    subsets with huge rows, on which an absolute margin confirms points that
+    are not extreme. The last pass (below) still catches a pick that a
+    near-tie made wrongly.
 
     Certificates. Let ``p`` beat every other point on ``points @ w`` by
     ``g > 0`` and let ``c = -max_{q != p} w.q``. Then ``y = (w, c) /
@@ -80,8 +99,8 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     tie_tol * |(w, c)|_inf`` certifies that every such solve finds ``p``
     extreme. On the simplex ``|c| <= max|w|``, and the test is ``g > 2 *
     tie_tol * max|w|`` against the threshold ``2 * tol_feas``. Every
-    direction scored is checked (``+-e_j``, those from the centroid and the
-    rounds' duals), the gap taken over all points.
+    direction scored is checked (``+-e_j``, those from the centroid, the
+    facet directions and the rounds' duals), the gap taken over all points.
 
     A near-tie can confirm a point that is not extreme (one just inside a
     vertex on an edge leaving the maximal face). By the end every point lies
@@ -138,20 +157,21 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     pending = np.flatnonzero(~confirmed)
     while pending.size:
         over = np.flatnonzero(confirmed)
-        covered, x = _simplex_cover(points[pending], points[over], tol_feas, draws)
+        covered, x, directions = _simplex_cover(
+            points[pending], points[over], tol_feas, tie_tol, draws
+        )
         interior[pending[covered]] = True
         tested.append((pending[covered], over, x))
         pending = pending[~covered]
-        if not pending.size:
-            break
-        test = convex_combinations(points[pending], points[over], tol_feas)
-        resolved = test.status == FEASIBLE
-        directions = test.dual[test.status == INFEASIBLE, :-1]
-        if not directions.size and not resolved.all():
-            # No test gave a pick: raise the first failed one's fault.
-            test.raise_fault(np.argmin(resolved))
-        interior[pending[resolved]] = True
-        tested.append((pending[resolved], over, test.x[resolved]))
+        if pending.size and not directions.size:
+            test = convex_combinations(points[pending], points[over], tol_feas)
+            resolved = test.status == FEASIBLE
+            directions = test.dual[test.status == INFEASIBLE, :-1]
+            if not directions.size and not resolved.all():
+                # No test gave a pick: raise the first failed one's fault.
+                test.raise_fault(np.argmin(resolved))
+            interior[pending[resolved]] = True
+            tested.append((pending[resolved], over, test.x[resolved]))
         if directions.size:
             confirmed[extreme_along(directions)] = True
         pending = np.flatnonzero(~confirmed & ~interior)
@@ -178,16 +198,26 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     )
 
 
-def _simplex_cover(points, pts, tol_feas: float, draws: np.random.Generator):
+def _simplex_cover(points, pts, tol_feas: float, tie_tol: float, draws: np.random.Generator):
     """Which rows of ``points`` lie in the simplex of some ``r`` rows of
-    ``pts``, and the weights of those covered on the rows of ``pts``.
+    ``pts``, the weights of those covered on the rows of ``pts``, and
+    directions that separate some of the others from the hull of ``pts``.
 
     Every ``r``-subset of ``pts`` is tried in lexicographic order when there
     are at most ``_COVER_SUBSETS`` of them, otherwise ``_COVER_SUBSETS``
     drawn from ``draws``; singular ones are skipped. A row is covered by
     the first subset whose weights are nonnegative and miss the ``r``
     coordinate equations and the unit sum by at most ``tol_feas * (1 +
-    max(1, max|p|))`` in total (see ``hull_vertices``)."""
+    max(1, max|p|))`` in total (see ``hull_vertices``).
+
+    Row ``i`` of a subset's inverse is its barycentric functional
+    ``lambda_i``: 1 at the subset's point ``i`` and 0 at its other points.
+    With ``eps_i = tie_tol * |lambda_i|_inf``, the row is a facet row when
+    ``lambda_i(q) >= -eps_i`` at every row ``q`` of ``pts``, so that
+    ``lambda_i = 0`` supports their hull, and it separates an uncovered row
+    ``p`` when ``lambda_i(p) < -4 * eps_i``. The directions returned are
+    ``-lambda_i`` for each facet row that separates some uncovered row, in
+    subset order."""
     (count, r), q = points.shape, len(pts)
     if comb(q, r) <= _COVER_SUBSETS:
         subsets = np.array(list(combinations(range(q), r)), dtype=int).reshape(-1, r)
@@ -202,14 +232,17 @@ def _simplex_cover(points, pts, tol_feas: float, draws: np.random.Generator):
         inverses = np.linalg.inv(simplices)
     covered, x = np.zeros(count, dtype=bool), np.zeros((count, q))
     if not len(subsets):
-        return covered, x[covered]
-    inverses = inverses.reshape(-1, r)
+        return covered, x[covered], np.empty((0, r))
+    eps = tie_tol * np.abs(inverses).max(axis=2)  # K x r, one per row lambda_i
+    facet = (inverses @ pts.T).min(axis=2) >= -eps
+    separating = np.zeros_like(facet)
+    rows = inverses.reshape(-1, r)
     step = max(1, _SCORE_ENTRIES // (len(subsets) * r * r))
     for start in range(0, count, step):
         p = points[start : start + step]
         bound = tol_feas * (1.0 + np.maximum(1.0, np.abs(p).max(axis=1)))
         # The subset's points on the middle axis, where reducing is fast.
-        lam = (inverses @ p.T).reshape(len(subsets), r, -1)  # K x r x P
+        lam = (rows @ p.T).reshape(len(subsets), r, -1)  # K x r x P
         inside = lam.min(axis=1) >= 0.0
         # Residuals only of the nonnegative weights, a few of the K x P.
         k, j = np.nonzero(inside)
@@ -217,10 +250,12 @@ def _simplex_cover(points, pts, tol_feas: float, draws: np.random.Generator):
         residual = np.abs((simplices[k] @ w[:, :, None])[:, :, 0] - p[j]).sum(axis=1)
         residual += np.abs(w.sum(axis=1) - 1.0)
         inside[k, j] = residual <= bound[j]
-        first, hit = inside.argmax(axis=0), np.flatnonzero(inside.any(axis=0))
+        hits = inside.any(axis=0)
+        first, hit = inside.argmax(axis=0), np.flatnonzero(hits)
         covered[start + hit] = True
         x[start + hit[:, None], subsets[first[hit]]] = lam[first[hit], :, hit]
-    return covered, x[covered]
+        separating |= (lam[:, :, ~hits] < -4.0 * eps[:, :, None]).any(axis=2)
+    return covered, x[covered], -inverses[facet & separating]
 
 
 def _certify(scores, w, tie_tol: float):

@@ -170,31 +170,31 @@ class TestExpansionPerDistinctValue:
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
     def test_row_leaning_on_a_dropped_point_gets_its_own_solve(self, monkeypatch):
-        # Seven corners and a copy of corner 5 moved 3.9e-8 of the way towards
-        # corner 6 (a set of the near-corner family in test_polytope). The
-        # hull pass confirms the copy, writes the interior corner 2 over it,
-        # and its last pass drops the copy again. So corner 2 (unique 2) and
-        # the copy (unique 4) have no hull row, and only they are solved.
+        # Six corners and a copy of corner 5 moved 1.28e-8 of the way towards
+        # corner 1 (set 73 of seed 100 of the near-corner family in
+        # test_polytope, with one near copy kept). The hull pass confirms
+        # the copy, writes the interior corner 2 over it, and its last pass
+        # drops the copy again. So corner 2 (unique 2) and the copy (unique
+        # 6) have no hull row, and only they are solved.
         corners = np.array(
             [
-                [0.3497709979246678, 0.029163078105649793, 0.5350852799594962, 0.08598064401018629],
-                [0.8707280128487552, 0.04259711252028567, 0.06643109848576657, 0.020243776145192606],
-                [0.5148337631401292, 0.08465356373934631, 0.21249748520936276, 0.18801518791116187],
-                [0.2858532542014088, 0.17792468662123986, 0.3655774759980823, 0.17064458317926903],
-                [0.15827711775386738, 0.24538072172187858, 0.016614037226987965, 0.5797281232972661],
-                [0.17480808445780122, 0.10683166710396849, 0.39534185955372597, 0.32301838888450435],
-                [0.21057070121986396, 0.06342993732347534, 0.6343443624273325, 0.09165499902932817],
+                [0.09717097999354526, 0.12167842357324757, 0.7164246173971769, 0.06472597903603022],
+                [0.4001703528842025, 0.5197700858432996, 0.04473543887283832, 0.035324122399659444],
+                [0.17302635923606205, 0.19226263368095256, 0.4860859902297361, 0.1486250168532494],
+                [0.3201537352159076, 0.02890112306885073, 0.04851654138175278, 0.6024286003334889],
+                [0.4758238617157382, 0.1936378880953017, 0.3037867517276256, 0.026751498461334674],
+                [0.11892494102772948, 0.14362215042503865, 0.5212373187909396, 0.2162155897562923],
             ]
         )
-        near = corners[5] + 3.911209332128085e-08 * (corners[6] - corners[5])
-        points = np.vstack([corners, near])[[6, 3, 2, 4, 7, 1, 5, 0]]
+        near = corners[5] + 1.2816833399171606e-08 * (corners[1] - corners[5])
+        points = np.vstack([corners, near])
         table = basic_function(points.T)
         rng = distinct_values(table)
         vs = reorder_vertices(hull_vertices(rng))
-        assert (vs.r, vs.d) == (4, 6)
-        assert 2 not in vs.source_columns and 4 not in vs.source_columns
+        assert (vs.r, vs.d) == (4, 5)
+        assert 2 not in vs.source_columns and 6 not in vs.source_columns
         missing = np.isnan(vs.unique_coefficients).any(axis=1)
-        assert np.flatnonzero(missing).tolist() == [2, 4]
+        assert np.flatnonzero(missing).tolist() == [2, 6]
         calls = self._counting(monkeypatch)
         coeff = expand_in_vertices(table, vs, rng).coefficients
         assert len(calls) == 2

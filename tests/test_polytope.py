@@ -396,25 +396,42 @@ def _near_corner_sets(state, count):
         yield distinct_values(basic_function((points * scales[:, None]).T))
 
 
+def _planted_sets(state, count):
+    """12 vertices on a sphere around the barycentre of the simplex in R^5
+    and 88 Dirichlet mixes of them, under a random nonnegative 5 x 5 map
+    (which keeps vertices and interior points), each carried by a column
+    with a random scale."""
+    r, d, mu = 5, 12, 100
+    for _ in range(count):
+        directions = state.standard_normal((d, r))
+        directions -= directions.mean(axis=1, keepdims=True)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        vertices = 1.0 / r + 0.8 / np.sqrt(r * (r - 1)) * directions
+        shares = np.vstack([vertices, state.dirichlet(np.full(d, 2.0), size=mu - d) @ vertices])
+        w = state.uniform(0.0, 1.0, size=(r, r))
+        yield distinct_values(basic_function(w @ shares.T * state.uniform(0.5, 20.0, size=mu)))
+
+
 def _recording_certificates(monkeypatch):
     """Patch ``hull_vertices`` to record each certificate it finds, as the
     unique index of the point and the direction, in ``record["certified"]``,
-    and the points confirmed at its first stacked solve in ``record["seeded"]``."""
+    and the points confirmed at its first simplex cover, the seed pass's
+    output, in ``record["seeded"]``."""
     record = {"certified": [], "seeded": None}
-    certify, stacked = latticenmf.polytope._certify, latticenmf.polytope.convex_combinations
+    certify, cover = latticenmf.polytope._certify, latticenmf.polytope._simplex_cover
 
     def recorded_certify(scores, w, tie_tol):
         winners, proven = certify(scores, w, tie_tol)
         record["certified"].extend(zip(winners[proven].tolist(), w[proven]))
         return winners, proven
 
-    def recorded_stack(points, pts, *args, **kwargs):
+    def recorded_cover(points, pts, *args):
         if record["seeded"] is None:
             record["seeded"] = {tuple(p) for p in pts}
-        return stacked(points, pts, *args, **kwargs)
+        return cover(points, pts, *args)
 
     monkeypatch.setattr(latticenmf.polytope, "_certify", recorded_certify)
-    monkeypatch.setattr(latticenmf.polytope, "convex_combinations", recorded_stack)
+    monkeypatch.setattr(latticenmf.polytope, "_simplex_cover", recorded_cover)
     return record
 
 
@@ -600,6 +617,51 @@ class TestRounds:
         distance = np.abs(expected[:, None] - got[None]).max(axis=2)
         assert distance.min(axis=0).max() <= 1e-7 and distance.min(axis=1).max() <= 1e-7
 
+    @pytest.mark.parametrize(
+        "seed, index", [(101, 66), (113, 89), (117, 99), (121, 38), (143, 6), (154, 69)]
+    )
+    def test_near_copies_keep_the_vertex_count_of_the_point_by_point_pass(self, seed, index):
+        # A subset of a corner and its near copy is nearly singular, so its
+        # barycentric rows are huge. On these sets a separation margin not
+        # scaled by the row's largest entry changed the vertex count.
+        rng = next(islice(_near_corner_sets(np.random.default_rng(seed), 100), index, None))
+        assert hull_vertices(rng).d == len(_point_by_point_pass(rng))
+
+    def test_every_round_confirms_a_pending_point(self, monkeypatch):
+        # A round that settles some points but leaves others confirms a
+        # point from those left, so each cover after the first tries fewer
+        # points against more confirmed ones, and the rounds end. A round
+        # that confirmed nothing would repeat forever; the check stops it.
+        cover = latticenmf.polytope._simplex_cover
+        state = np.random.default_rng(197)
+        rounds = 0
+        for rng in [*_small_sets(state, 30), *_near_corner_sets(state, 30)]:
+            last = []
+
+            def checked_cover(points, pts, *args):
+                nonlocal rounds
+                tried, confirmed = ({tuple(p) for p in q} for q in (points, pts))
+                if last:
+                    assert tried < last[0] and confirmed > last[1]
+                    assert confirmed - last[1] <= last[0]
+                    rounds += 1
+                last[:] = tried, confirmed
+                return cover(points, pts, *args)
+
+            monkeypatch.setattr(latticenmf.polytope, "_simplex_cover", checked_cover)
+            hull_vertices(rng)
+            monkeypatch.undo()
+        assert rounds >= 20
+
+    def test_planted_sets_need_almost_no_solve(self, monkeypatch):
+        # The facet rows of the simplex cover separate nearly every point the
+        # cover leaves, so on these sets the rounds hardly ever solve; with a
+        # solve in every round they made about one solve per set.
+        calls = self._counting(monkeypatch)
+        for rng in _planted_sets(np.random.default_rng(191), 20):
+            assert hull_vertices(rng).d == 12
+        assert len(calls["stacked"]) <= 3
+
     def test_a_vertex_and_its_near_copy_are_not_dropped_together(self):
         # Column 3 is column 0 moved 4e-9 along the edge towards column 1 and
         # 1e-9 outward. Both are extremes of a coordinate and neither is
@@ -632,8 +694,9 @@ class TestSimplexCover:
         """``(rng, events)`` of ``hull_vertices`` on ``count`` Dirichlet and,
         with ``near_corner``, ``count`` near-corner sets. ``events`` lists in
         call order each simplex cover as ``("cover", points tried, confirmed
-        points, covered, weights)`` and each stacked solve as ``("solve",
-        points, pts, result)``."""
+        points, covered, weights)``, followed by ``("separate", directions)``
+        with the directions it returns, and each stacked solve as
+        ``("solve", points, pts, result)``."""
         state = np.random.default_rng(seed)
         cover, stacked = latticenmf.polytope._simplex_cover, latticenmf.polytope.convex_combinations
         sets = list(_small_sets(state, count))
@@ -643,9 +706,10 @@ class TestSimplexCover:
             events = []
 
             def recorded_cover(points, pts, *args):
-                covered, x = cover(points, pts, *args)
+                covered, x, directions = cover(points, pts, *args)
                 events.append(("cover", points, pts, covered, x))
-                return covered, x
+                events.append(("separate", directions))
+                return covered, x, directions
 
             def recorded_stack(points, pts, *args, **kwargs):
                 out = stacked(points, pts, *args, **kwargs)
@@ -681,24 +745,52 @@ class TestSimplexCover:
 
     def test_with_every_subset_tried_no_solve_finds_a_point_interior(self, monkeypatch):
         # By Caratheodory a point strictly inside the hull of the confirmed
-        # points lies in a simplex of r of them; with all r-subsets tried, a
-        # round sends only the points outside, which the solve finds
-        # infeasible. Points of Dirichlet sets are never on a face; those
+        # points lies in a simplex of r of them. Every facet of that hull has
+        # r - 1 independent confirmed points on it, and one more confirmed
+        # point off it makes an r-subset whose opposite row is that facet.
+        # So with all r-subsets of at least r confirmed points tried, every
+        # point the cover leaves is separated by a returned direction, and
+        # the round picks along them with no solve. Points of Dirichlet sets are never on a face; those
         # next to a corner's edges are, within rounding.
         rounds = 0
         for rng, events in self._runs(monkeypatch, 179, count=100, near_corner=False):
             r = rng.unique_points.shape[1]
-            for event, after in zip(events, events[1:]):
-                if event[0] != "cover" or after[0] != "solve":
+            tie_tol = 1e-9 * (1.0 + np.abs(rng.unique_points).max())
+            for i, event in enumerate(events):
+                if event[0] != "cover" or not (~event[3]).any():
                     continue
                 _, points, pts, covered, _ = event
-                if comb(len(pts), r) > latticenmf.polytope._COVER_SUBSETS:
+                if not 1 <= comb(len(pts), r) <= latticenmf.polytope._COVER_SUBSETS:
                     continue
-                assert np.array_equal(after[1], points[~covered])
-                assert np.array_equal(after[2], pts)
-                assert (after[3].status == latticenmf.simplex.INFEASIBLE).all()
+                directions = events[i + 1][1]
+                scores = points[~covered] @ directions.T
+                margin = 4.0 * tie_tol * np.abs(directions).max(axis=1)
+                assert (scores > margin).any(axis=1).all()
+                assert all(e[0] != "solve" for e in events[i + 2 : i + 3])
                 rounds += 1
         assert rounds >= 30
+
+    def test_directions_support_the_confirmed_hull_and_separate_a_left_point(self, monkeypatch):
+        # A returned direction w = -lambda_i scores at most eps * |w|_inf on
+        # every confirmed point (lambda_i = 0 supports their hull) and more
+        # than 4 * eps * |w|_inf on some point the cover leaves, with eps the
+        # tie tolerance.
+        directions_seen = 0
+        for rng, events in self._runs(monkeypatch, 181):
+            tie_tol = 1e-9 * (1.0 + np.abs(rng.unique_points).max())
+            for event, after in zip(events, events[1:]):
+                if event[0] != "cover":
+                    continue
+                _, points, pts, covered, _ = event
+                directions = after[1]
+                assert directions.shape[1] == points.shape[1]
+                if not len(directions):
+                    continue
+                eps = tie_tol * np.abs(directions).max(axis=1)
+                assert ((pts @ directions.T) <= eps).all()
+                assert ((points[~covered] @ directions.T) > 4.0 * eps).any(axis=0).all()
+                directions_seen += len(directions)
+        assert directions_seen >= 200
 
     @pytest.mark.parametrize("a", [MINLAT_6X6, MINLAT_8X11], ids=["MINLAT_6X6", "MINLAT_8X11"])
     def test_worked_matrices_make_no_hull_solve(self, monkeypatch, a):
