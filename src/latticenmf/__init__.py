@@ -45,6 +45,7 @@ from .lattice import (
     expand_in_vertices,
     find_nodes,
     positive_basis,
+    positive_basis_by_blocks,
     synthesize_vectors,
 )
 from .linalg import Tolerances, greedy_independent_rows, rank_of, solve
@@ -94,6 +95,7 @@ __all__ = [
     "is_extreme_point",
     "phase_one_feasible",
     "positive_basis",
+    "positive_basis_by_blocks",
     "rank_of",
     "reinsert_zero_columns",
     "reorder_vertices",

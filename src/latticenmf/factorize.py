@@ -12,10 +12,9 @@ from .basic import basic_function, distinct_values, select_basic_set
 from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
 from .errors import ZeroMatrixError
 from .lattice import (
-    basis_matrix,
     expand_in_vertices,
     find_nodes,
-    positive_basis,
+    positive_basis_by_blocks,
     synthesize_vectors,
 )
 from .linalg import Tolerances, as_matrix
@@ -201,13 +200,14 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
             raise IntermediateDimensionError(message, stage="vertices")
         warnings.append(message)
 
+    extension = np.empty((0, m))
     if d > r:
         expansion = run("expansion", expand_in_vertices, table, vs, rng, tol.feas)
-        stacked = np.vstack([basic.X, synthesize_vectors(expansion, table.sums, r)])
-    else:
-        stacked = basic.X
+        extension = synthesize_vectors(expansion, table.sums, r)
 
-    vectors = run("basis", positive_basis, basis_matrix(vs), stacked, tol.rank, tol.node)
+    vectors = run(
+        "basis", positive_basis_by_blocks, vs, basic.X, extension, tol.rank, tol.node
+    )
     if vectors.min() < 0.0:
         warnings.append(
             f"positive basis has entries below -{tol.node:g} (min {vectors.min():.3e})"

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic import BasicFunctionTable, DistinctRange
-from .errors import ExpansionInfeasibleError, NodeNotFoundError
-from .linalg import solve
+from .errors import ExpansionInfeasibleError, NodeNotFoundError, SingularMatrixError
+from .linalg import rank_of, solve
 from .polytope import VertexSet
 from .simplex import FEASIBLE, convex_combinations
 
@@ -93,6 +93,43 @@ def basis_matrix(vs: VertexSet) -> np.ndarray:
 def positive_basis(l, y, tol_rank: float = 1e-9, tol_node: float = 1e-6) -> np.ndarray:
     """Solve ``l @ basis = y`` and zero entries below the node threshold."""
     basis = solve(l, y, tol_rank)
+    basis[np.abs(basis) <= tol_node] = 0.0
+    return basis
+
+
+def positive_basis_by_blocks(
+    vs: VertexSet, x, e, tol_rank: float = 1e-9, tol_node: float = 1e-6
+) -> np.ndarray:
+    """``positive_basis(basis_matrix(vs), vstack([x, e]))`` by blocks.
+
+    ``x`` holds the r basic rows and ``e`` the d - r extension rows (no rows
+    when d == r). With ``V_r`` and ``V_x`` the first r and the other vertices
+    as columns, the lifted matrix is ``[[V_r, V_x / 2], [0, I / 2]]``, so the
+    basis is ``[V_r^-1 @ (x - V_x @ e); 2 * e]``: one inverse of ``V_r`` for
+    all columns, zeroed at or below ``tol_node`` as in ``positive_basis``.
+
+    Raises SingularMatrixError when ``rank_of(V_r, tol_rank) < r``. The lifted
+    matrix is zero below ``V_r``, so its elimination takes the pivots of
+    ``V_r`` first, then the halves; only the threshold differs. Here it is
+    ``tol_rank * max|V_r|``, there ``tol_rank * max|l|`` with ``max|l| =
+    max(max|V_r|, max|V_x| / 2, 1 / 2)`` (``max|V_r|`` when d == r). The
+    vertices are simplex points, so ``max|V_r| >= 1 / r`` and ``max|V_x| <=
+    1``: the lifted threshold is 1 to ``max(1, r / 2)`` times this one. For
+    ``tol_rank < 1 / 2`` this verdict therefore accepts every ``V_r`` the
+    lifted one accepts, and unlike it does not change when ``V_r`` is scaled.
+    """
+    r = vs.r
+    v_r = vs.vertices[:r].T
+    if rank_of(v_r, tol_rank) < r:
+        raise SingularMatrixError("singular basis matrix")
+    try:
+        # With many columns, one r x r inverse and a product is several times
+        # faster than np.linalg.solve; factorize still checks the residual.
+        inverse = np.linalg.inv(v_r)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular basis matrix") from None
+    e = np.asarray(e, dtype=float)
+    basis = np.vstack([inverse @ (x - vs.vertices[r:].T @ e), 2.0 * e])
     basis[np.abs(basis) <= tol_node] = 0.0
     return basis
 

@@ -121,9 +121,10 @@ def greedy_independent_rows(m, tol_rank: float = 1e-9) -> list[int]:
     far; the result therefore has ``rank_of(m)`` entries.
     """
     a = as_matrix(m)
-    if a.size == 0 or float(np.abs(a).max()) == 0.0:
+    scale = float(np.abs(a).max()) if a.size else 0.0
+    if scale == 0.0:
         raise ZeroMatrixError("zero matrix")
-    threshold = tol_rank * float(np.abs(a).max())
+    threshold = tol_rank * scale
     kept: list[int] = []
     # Row i of ``rows`` is a[i] reduced against the rows kept before it: each
     # kept row is eliminated from all later rows at once, so every row sees

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -153,7 +154,16 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     extreme_along(np.vstack([np.eye(r), -np.eye(r), points - points.mean(axis=0)]), pick=False)
     confirmed |= certified
     tested = []  # (interior points, points confirmed at their test, their weights on them)
-    draws = np.random.default_rng(0)
+    generator = None
+
+    def draws() -> np.random.Generator:
+        """The call's generator, made at the first draw: a cover with few
+        subsets tries them all and draws nothing."""
+        nonlocal generator
+        if generator is None:
+            generator = np.random.default_rng(0)
+        return generator
+
     pending = np.flatnonzero(~confirmed)
     while pending.size:
         over = np.flatnonzero(confirmed)
@@ -198,17 +208,19 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     )
 
 
-def _simplex_cover(points, pts, tol_feas: float, tie_tol: float, draws: np.random.Generator):
+def _simplex_cover(
+    points, pts, tol_feas: float, tie_tol: float, draws: Callable[[], np.random.Generator]
+):
     """Which rows of ``points`` lie in the simplex of some ``r`` rows of
     ``pts``, the weights of those covered on the rows of ``pts``, and
     directions that separate some of the others from the hull of ``pts``.
 
     Every ``r``-subset of ``pts`` is tried in lexicographic order when there
     are at most ``_COVER_SUBSETS`` of them, otherwise ``_COVER_SUBSETS``
-    drawn from ``draws``; singular ones are skipped. A row is covered by
-    the first subset whose weights are nonnegative and miss the ``r``
-    coordinate equations and the unit sum by at most ``tol_feas * (1 +
-    max(1, max|p|))`` in total (see ``hull_vertices``).
+    drawn from the generator ``draws()``; singular ones are skipped. A row
+    is covered by the first subset whose weights are nonnegative and miss
+    the ``r`` coordinate equations and the unit sum by at most ``tol_feas *
+    (1 + max(1, max|p|))`` in total (see ``hull_vertices``).
 
     Row ``i`` of a subset's inverse is its barycentric functional
     ``lambda_i``: 1 at the subset's point ``i`` and 0 at its other points.
@@ -222,7 +234,7 @@ def _simplex_cover(points, pts, tol_feas: float, tie_tol: float, draws: np.rando
     if comb(q, r) <= _COVER_SUBSETS:
         subsets = np.array(list(combinations(range(q), r)), dtype=int).reshape(-1, r)
     else:
-        subsets = np.argsort(draws.random((_COVER_SUBSETS, q)), axis=1)[:, :r]
+        subsets = np.argsort(draws().random((_COVER_SUBSETS, q)), axis=1)[:, :r]
     simplices = pts[subsets].transpose(0, 2, 1)  # K x r x r, one point per column
     try:
         inverses = np.linalg.inv(simplices)

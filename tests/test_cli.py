@@ -96,8 +96,14 @@ def test_numerical_failure_exits_two(tmp_path, capsys):
 
 
 def test_singular_basis_exits_two_with_stage(tmp_path, capsys, monkeypatch):
+    # The basis stage gets all-ones vertices, so V_r has rank 1.
     module = importlib.import_module("latticenmf.factorize")
-    monkeypatch.setattr(module, "basis_matrix", lambda vs: np.ones((vs.d, vs.d)))
+    blocks = module.positive_basis_by_blocks
+    monkeypatch.setattr(
+        module,
+        "positive_basis_by_blocks",
+        lambda vs, *a: blocks(dataclasses.replace(vs, vertices=np.ones_like(vs.vertices)), *a),
+    )
     source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
     assert run([str(source), "--out-dir", str(tmp_path / "out")]) == 2
     assert "numerical failure [basis]" in capsys.readouterr().err

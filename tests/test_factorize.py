@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -274,8 +275,14 @@ class TestFactorizeEdges:
         assert first.nodes == second.nodes
 
     def test_singular_basis_raises_with_stage_basis(self, monkeypatch):
+        # The basis stage gets all-ones vertices, so V_r has rank 1.
         module = importlib.import_module("latticenmf.factorize")
-        monkeypatch.setattr(module, "basis_matrix", lambda vs: np.ones((vs.d, vs.d)))
+        blocks = module.positive_basis_by_blocks
+        monkeypatch.setattr(
+            module,
+            "positive_basis_by_blocks",
+            lambda vs, *a: blocks(dataclasses.replace(vs, vertices=np.ones_like(vs.vertices)), *a),
+        )
         with pytest.raises(SingularMatrixError) as info:
             factorize(MINLAT_6X6)
         assert info.value.stage == "basis"

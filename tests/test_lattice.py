@@ -11,6 +11,7 @@ from latticenmf import (
     ExpansionInfeasibleError,
     NodeNotFoundError,
     SimplexStalledError,
+    SingularMatrixError,
     VertexSet,
     basic_function,
     basis_matrix,
@@ -21,13 +22,16 @@ from latticenmf import (
     find_nodes,
     hull_vertices,
     positive_basis,
+    positive_basis_by_blocks,
     rank_of,
     reorder_vertices,
+    segment_vertices,
     select_basic_set,
     synthesize_vectors,
 )
 
 from data import (
+    DIAGBLOCK_6X6,
     MINLAT_6X6,
     MINLAT_6X6_ALT_EXPANSION,
     MINLAT_6X6_ALT_EXTENSION,
@@ -37,7 +41,9 @@ from data import (
     MINLAT_6X6_HAND_NODES,
     MINLAT_6X6_VERTEX_ORDER,
     MINLAT_6X6_VERTEX_SOURCES,
+    MINLAT_8X11,
     NRF_5X4,
+    RANK2_ROWS,
     SUBLAT_8X10,
 )
 from oracles import find_nodes_loop
@@ -304,6 +310,93 @@ class TestPositiveBasis:
         basis = positive_basis(np.eye(2), y, tol_node=1e-6)
         assert basis[0, 1] == 0.0
         assert basis[1, 0] == 0.0
+
+
+def _planted_matrices(state, count):
+    """Planted n x m matrices with no zero column: ``d`` shares on a sphere
+    around the barycentre of the simplex in R^r (every one a vertex of
+    their hull), Dirichlet mixes of them, each share carried by a few
+    columns with random scales, under a random positive n x r map. Every
+    other set has d == r."""
+    for i in range(count):
+        r = int(state.integers(3, 7))
+        d = r if i % 2 else r + int(state.integers(1, 9))
+        directions = state.standard_normal((d, r))
+        directions -= directions.mean(axis=1, keepdims=True)
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        vertices = 1.0 / r + 0.8 / np.sqrt(r * (r - 1)) * directions
+        shares = np.vstack([vertices, state.dirichlet(np.ones(d), size=3 * d) @ vertices])
+        columns = state.permutation(np.repeat(np.arange(len(shares)), 3))
+        scales = state.uniform(0.5, 20.0, size=len(columns))
+        w = state.uniform(0.1, 1.0, size=(int(state.integers(r, 3 * r)), r))
+        yield w @ (shares[columns] * scales[:, None]).T
+
+
+def _basis_inputs(a):
+    """The vertex set, basic rows and extension rows the pipeline gives ``a``."""
+    basic = select_basic_set(a)
+    table = basic_function(basic.X)
+    rng = distinct_values(table)
+    vs = reorder_vertices(segment_vertices(table) if basic.r == 2 else hull_vertices(rng))
+    extension = np.empty((0, a.shape[1]))
+    if vs.d > vs.r:
+        extension = synthesize_vectors(expand_in_vertices(table, vs, rng), table.sums, vs.r)
+    return vs, basic.X, extension
+
+
+def _with_v_r(vs, v_r):
+    """``vs`` with the first r vertices replaced by the columns of ``v_r``."""
+    vertices = vs.vertices.copy()
+    vertices[: vs.r] = v_r.T
+    return VertexSet(vertices, vs.source_columns, vs.r)
+
+
+class TestPositiveBasisByBlocks:
+    MATRICES = (MINLAT_6X6, MINLAT_8X11, SUBLAT_8X10, NRF_5X4, DIAGBLOCK_6X6, RANK2_ROWS)
+
+    def _inputs(self):
+        yield from map(_basis_inputs, self.MATRICES)
+        yield from map(_basis_inputs, _planted_matrices(np.random.default_rng(211), 24))
+
+    def test_matches_the_lifted_solve(self):
+        shapes = set()
+        for vs, x, e in self._inputs():
+            lifted = positive_basis(basis_matrix(vs), np.vstack([x, e]))
+            blocks = positive_basis_by_blocks(vs, x, e)
+            assert blocks.shape == lifted.shape
+            assert np.abs(blocks - lifted).max() <= 1e-9 * np.abs(lifted).max()
+            assert find_nodes(blocks) == find_nodes(lifted)
+            shapes.add(vs.d > vs.r)
+        assert shapes == {True, False}
+
+    @staticmethod
+    def _deficient(vs, gap):
+        """``V_r`` with its second column the midpoint of the first and the
+        last, moved by ``gap`` along e_0 - e_1 (column sums stay 1)."""
+        v_r = vs.vertices[: vs.r].T.copy()
+        v_r[:, 1] = (v_r[:, 0] + v_r[:, -1]) / 2.0
+        v_r[0, 1] += gap
+        v_r[1, 1] -= gap
+        return v_r
+
+    def test_rank_deficient_v_r_raises(self):
+        for vs, x, e in self._inputs():
+            if vs.r < 3:
+                continue
+            for gap in (0.0, 1e-13):
+                v_r = self._deficient(vs, gap)
+                assert rank_of(v_r) < vs.r
+                with pytest.raises(SingularMatrixError):
+                    positive_basis_by_blocks(_with_v_r(vs, v_r), x, e)
+
+    def test_verdict_does_not_change_with_the_scale_of_v_r(self):
+        for vs, x, e in self._inputs():
+            if vs.r < 3:
+                continue
+            for c in 10.0 ** np.arange(-6, 7):
+                positive_basis_by_blocks(_with_v_r(vs, c * vs.vertices[: vs.r].T), x, e)
+                with pytest.raises(SingularMatrixError):
+                    positive_basis_by_blocks(_with_v_r(vs, c * self._deficient(vs, 1e-13)), x, e)
 
 
 class TestFindNodes:

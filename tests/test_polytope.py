@@ -805,6 +805,34 @@ class TestSimplexCover:
         factorize(a)
         assert calls == []
 
+    def test_one_generator_per_call_made_at_the_first_draw(self, monkeypatch):
+        # A cover draws only when it has more than _COVER_SUBSETS subsets.
+        # Every draw of a call comes from one generator seeded with 0, so
+        # the subsets do not depend on when the generator was made.
+        cover, make = latticenmf.polytope._simplex_cover, np.random.default_rng
+        made, drawing = [], []
+
+        def recorded_make(*args):
+            made.append(args)
+            return make(*args)
+
+        def recorded_cover(points, pts, *args):
+            drawing.append(comb(len(pts), points.shape[1]) > latticenmf.polytope._COVER_SUBSETS)
+            return cover(points, pts, *args)
+
+        monkeypatch.setattr(latticenmf.polytope, "_simplex_cover", recorded_cover)
+        state = np.random.default_rng(223)
+        counts = {}
+        for rng in [*_small_sets(state, 10), *_planted_sets(state, 10)]:
+            made.clear()
+            drawing.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.random, "default_rng", recorded_make)
+                hull_vertices(rng)
+            assert made == ([(0,)] if any(drawing) else [])
+            counts[sum(drawing)] = counts.get(sum(drawing), 0) + 1
+        assert counts.get(0) and max(counts) >= 2
+
 
 class TestCertificates:
     @staticmethod
