@@ -31,10 +31,13 @@ def expand_in_vertices(
 
     Columns whose value is itself a vertex get the exact indicator row.
     Every other column takes its value's row of ``vs.unique_coefficients``
-    (the hull pass's weights). The columns whose row is missing or misses
-    their own point by more than ``tol_feas`` are solved again, together in
-    one stacked solve over the vertices: one valid combination among many.
-    With none of them, nothing is solved.
+    (the hull pass's weights). The hull pass writes a row for every value,
+    but the last pass's substitutions add up their error over the drops,
+    with no bound proven. So the columns whose row misses their own point
+    by more than ``tol_feas``, and every column of a vertex set built
+    without weights, are solved again, together in one stacked solve over
+    the vertices: one valid combination among many. With none of them,
+    nothing is solved.
     """
     d = vs.d
     membership = np.asarray(rng.membership)
@@ -44,7 +47,7 @@ def expand_in_vertices(
         unique_rows[:] = vs.unique_coefficients
     unique_rows[vertex_values] = np.eye(d)
     coefficients = unique_rows[membership]
-    # NaN rows (missing) fail the comparison too.
+    # The NaN rows of a set without weights fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
     missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))
     if missing.size:

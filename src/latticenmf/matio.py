@@ -49,7 +49,8 @@ def write_matrix(path, a, fmt: str | None = None) -> None:
 
 
 def _read_csv(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig skips the byte-order mark that spreadsheet exports often write.
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     rows = [line for line in lines if line.strip()]
     if not rows:
@@ -71,7 +72,7 @@ def _write_csv(path, a: np.ndarray) -> None:
 
 
 def _read_mm(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     if not text:
         raise MatrixParseError(f"{path}: empty file")

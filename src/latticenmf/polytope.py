@@ -29,7 +29,7 @@ class VertexSet:
     vertices: np.ndarray  # d x r, one vertex per row
     source_columns: tuple[int, ...]
     r: int
-    # mu x d convex weights of the unique points over the vertices (NaN: none)
+    # mu x d convex weights of the unique points over the vertices
     unique_coefficients: np.ndarray | None = None
 
     @property
@@ -113,8 +113,14 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     uncertified, nothing is solved.
 
     An interior point's feasible test gives its convex weights over the
-    points confirmed by then: ``unique_coefficients``, with NaN rows where
-    they lean on a point the last pass drops (its own row included).
+    points confirmed by then. When the last pass drops a point, its feasible
+    test writes that point over the points kept at the test, and each row's
+    weight on it is moved onto them in that proportion. Later tests lean
+    only on points kept, so one sweep in drop order leaves every row,
+    the dropped point's own included, as weights over the vertices
+    returned: ``unique_coefficients``. Each substitution adds its test's
+    error to the rows it moves; that error sums over the drops, with no
+    bound proven.
     """
     points = rng.unique_points
     mu, r = points.shape
@@ -187,24 +193,24 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
         pending = np.flatnonzero(~confirmed & ~interior)
 
     found = np.flatnonzero(confirmed)
+    weights = np.zeros((mu, found.size))
+    weights[found, np.arange(found.size)] = 1.0
+    for shares, over, x in tested:
+        weights[np.ix_(shares, np.searchsorted(found, over))] = x
     kept = np.ones(found.size, dtype=bool)
     for j in np.flatnonzero(~certified[found]):
         kept[j] = False
         last = convex_combinations(points[found[[j]]], points[found[kept]], tol_feas)
         last.raise_fault(0)
         kept[j] = last.status[0] == INFEASIBLE
+        if not kept[j]:  # write point j's share of every row over the points kept
+            weights[:, kept] += weights[:, [j]] * last.x
     keep = found[kept]
-    weights = np.zeros((mu, found.size))
-    weights[found, np.arange(found.size)] = 1.0
-    for shares, over, x in tested:
-        weights[np.ix_(shares, np.searchsorted(found, over))] = x
-    coefficients = weights[:, kept]
-    coefficients[weights[:, ~kept].any(axis=1)] = np.nan
     return VertexSet(
         vertices=points[keep],
         source_columns=tuple(rng.representative_column[i] for i in keep),
         r=r,
-        unique_coefficients=coefficients,
+        unique_coefficients=weights[:, kept],
     )
 
 

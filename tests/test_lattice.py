@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 from itertools import count
 
@@ -175,13 +176,12 @@ class TestExpansionPerDistinctValue:
         assert len(calls) == 1
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
 
-    def test_row_leaning_on_a_dropped_point_gets_its_own_solve(self, monkeypatch):
-        # Six corners and a copy of corner 5 moved 1.28e-8 of the way towards
-        # corner 1 (set 73 of seed 100 of the near-corner family in
-        # test_polytope, with one near copy kept). The hull pass confirms
-        # the copy, writes the interior corner 2 over it, and its last pass
-        # drops the copy again. So corner 2 (unique 2) and the copy (unique
-        # 6) have no hull row, and only they are solved.
+    @staticmethod
+    def _near_copy_pieces():
+        """Six corners and a copy of corner 5 moved 1.28e-8 of the way
+        towards corner 1 (set 73 of seed 100 of the near-corner family in
+        test_polytope, with one near copy kept): the table, the distinct
+        values and the reordered vertex set."""
         corners = np.array(
             [
                 [0.09717097999354526, 0.12167842357324757, 0.7164246173971769, 0.06472597903603022],
@@ -193,18 +193,50 @@ class TestExpansionPerDistinctValue:
             ]
         )
         near = corners[5] + 1.2816833399171606e-08 * (corners[1] - corners[5])
-        points = np.vstack([corners, near])
-        table = basic_function(points.T)
+        table = basic_function(np.vstack([corners, near]).T)
         rng = distinct_values(table)
-        vs = reorder_vertices(hull_vertices(rng))
+        return table, rng, reorder_vertices(hull_vertices(rng))
+
+    def test_row_leaning_on_a_dropped_point_needs_no_solve(self, monkeypatch):
+        # The hull pass confirms the copy, writes the interior corner 2 over
+        # it, and its last pass drops the copy again, writing it over the
+        # points kept. Corner 2 (unique 2) and the copy (unique 6) take
+        # their weight on it over those points, so nothing is solved.
+        drops = []
+        check = latticenmf.simplex.StackResult.raise_fault
+
+        def recorded_check(result, p):
+            drops.append(result.status[p] == latticenmf.simplex.FEASIBLE)
+            return check(result, p)
+
+        monkeypatch.setattr(latticenmf.simplex.StackResult, "raise_fault", recorded_check)
+        table, rng, vs = self._near_copy_pieces()
+        monkeypatch.undo()
         assert (vs.r, vs.d) == (4, 5)
         assert 2 not in vs.source_columns and 6 not in vs.source_columns
-        missing = np.isnan(vs.unique_coefficients).any(axis=1)
-        assert np.flatnonzero(missing).tolist() == [2, 6]
+        assert drops == [True]
+        coeff = vs.unique_coefficients
+        assert not np.isnan(coeff).any()
+        rows = coeff[[2, 6]]
+        assert rows.min() >= 0.0
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-9
+        assert np.abs(rows @ vs.vertices - rng.unique_points[[2, 6]]).max() <= 1e-9
         calls = self._counting(monkeypatch)
         coeff = expand_in_vertices(table, vs, rng).coefficients
-        assert len(calls) == 2
-        assert calls[0] == calls[1]
+        assert calls == []
+        assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9
+
+    def test_rows_that_miss_their_point_are_solved_in_one_stack(self, monkeypatch):
+        # The fallback stays for rows that miss their own point: here row 2
+        # is put on a vertex and row 6 is NaN. Both columns are solved again,
+        # together in one stacked call.
+        table, rng, vs = self._near_copy_pieces()
+        coeff = vs.unique_coefficients.copy()
+        coeff[2], coeff[6] = np.eye(vs.d)[0], np.nan
+        vs = dataclasses.replace(vs, unique_coefficients=coeff)
+        calls = self._counting(monkeypatch)
+        coeff = expand_in_vertices(table, vs, rng).coefficients
+        assert calls == [1, 1]
         assert coeff.min() >= 0.0
         assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-9
         assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-9

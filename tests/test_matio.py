@@ -116,3 +116,16 @@ def test_csv_bad_token_on_a_later_line_names_it(tmp_path):
     path.write_text("1,2\n\n3,4\n5, y\n")
     with pytest.raises(MatrixParseError, match="line 4: invalid number 'y'"):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("name", ["m.csv", "m.mtx"])
+def test_leading_byte_order_mark_is_skipped(tmp_path, name):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark; the
+    # writers never write one.
+    a = np.array([[1.0, 2.5, 0.0], [1 / 3, 4.0, 1e-17]])
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    write_matrix(plain, a)
+    assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert np.array_equal(read_matrix(marked), a)
+    assert np.array_equal(read_matrix(marked), read_matrix(plain))

@@ -14,6 +14,7 @@ from latticenmf import (
     VertexSet,
     basic_function,
     distinct_values,
+    expand_in_vertices,
     factorize,
     hull_vertices,
     is_extreme_point,
@@ -228,6 +229,44 @@ class TestUniqueCoefficients:
             vertex_values = [rng.membership[src] for src in vs.source_columns]
             assert np.array_equal(coeff[vertex_values], np.eye(vs.d))
 
+    def test_near_corner_rows_are_complete_and_the_expansion_solves_nothing(self, monkeypatch):
+        # The last pass drops near copies of corners on many of these sets.
+        # Each drop writes the copy over the points kept, and every row
+        # leaning on it is moved onto them, so the expansion takes every row
+        # from the hull pass and solves nothing.
+        checked, expansion_calls = [], []
+        check = latticenmf.simplex.StackResult.raise_fault
+        solver = latticenmf.lattice.convex_combinations
+
+        def recorded_check(result, p):
+            checked.append(result.status[p] == latticenmf.simplex.FEASIBLE)
+            return check(result, p)
+
+        def counted(*args, **kwargs):
+            expansion_calls.append(args)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(latticenmf.simplex.StackResult, "raise_fault", recorded_check)
+        monkeypatch.setattr(latticenmf.lattice, "convex_combinations", counted)
+        expanded = 0
+        for x in _near_corner_matrices(np.random.default_rng(139), 100):
+            table = basic_function(x)
+            rng = distinct_values(table)
+            vs = reorder_vertices(hull_vertices(rng))
+            coeff = vs.unique_coefficients
+            assert not np.isnan(coeff).any()
+            assert coeff.min() >= 0.0
+            assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-9
+            assert np.abs(coeff @ vs.vertices - rng.unique_points).max() <= 1e-9
+            if vs.d > vs.r:
+                expanded += 1
+                out = expand_in_vertices(table, vs, rng).coefficients
+                assert np.abs(out @ vs.vertices - table.points).max() <= 1e-9
+        # The checked results are the last pass's tests; the feasible ones drop.
+        assert sum(checked) >= 25
+        assert expanded >= 50
+        assert expansion_calls == []
+
     def test_reorder_permutes_the_columns_with_the_vertices(self):
         # The square corners of test_dependent_vertex_moves_back: the fifth
         # vertex moves in front of the fourth.
@@ -381,7 +420,7 @@ def _small_sets(state, count):
         yield distinct_values(basic_function(points.T))
 
 
-def _near_corner_sets(state, count):
+def _near_corner_matrices(state, count):
     """Corners plus one point 1e-8..1e-7 along every edge from each corner,
     each carried by a column with a random scale."""
     for _ in range(count):
@@ -393,7 +432,13 @@ def _near_corner_sets(state, count):
         ]
         points = np.vstack([corners, near])[state.permutation(len(corners) * len(corners))]
         scales = state.uniform(0.5, 20.0, size=len(points))
-        yield distinct_values(basic_function((points * scales[:, None]).T))
+        yield (points * scales[:, None]).T
+
+
+def _near_corner_sets(state, count):
+    """The distinct values of ``_near_corner_matrices``."""
+    for x in _near_corner_matrices(state, count):
+        yield distinct_values(basic_function(x))
 
 
 def _planted_sets(state, count):

@@ -24,7 +24,7 @@ from latticenmf import (
 from latticenmf.simplex import convex_combination, convex_combinations
 
 from data import MINLAT_6X6, MINLAT_6X6_VERTEX_ORDER
-from oracles import hull_contains
+from oracles import brute_force_vertices, hull_contains
 
 
 def _check_solution(a_eq, b_eq, x, tol=1e-9):
@@ -207,13 +207,7 @@ def test_hull_route_matches_brute_force_vertices():
         x = rng_state.uniform(0.1, 3.0, size=(3, 7))
         rng = distinct_values(basic_function(x))
         vs = hull_vertices(rng)
-        expected = [
-            i
-            for i in range(rng.mu)
-            if not hull_contains(
-                rng.unique_points[i], np.delete(rng.unique_points, i, axis=0)
-            )
-        ]
+        expected = brute_force_vertices(rng.unique_points)
         got = [rng.representative_column.index(src) for src in vs.source_columns]
         assert sorted(got) == expected
 
