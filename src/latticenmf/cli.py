@@ -36,7 +36,6 @@ _STATUS = {
 # One flag --tol-<field> per Tolerances field; its help ends with the default.
 _TOL_HELP = {
     "rank": "pivot threshold for rank decisions",
-    "node": "zero threshold for node detection",
     "dedup": "equality threshold for merging column shares",
     "feas": "feasibility threshold for the hull and expansion solves",
     "recon": "reconstruction residual bound",

@@ -11,12 +11,7 @@ import numpy as np
 from .basic import basic_function, distinct_values, select_basic_set
 from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
 from .errors import ZeroMatrixError
-from .lattice import (
-    expand_in_vertices,
-    find_nodes,
-    positive_basis_by_blocks,
-    synthesize_vectors,
-)
+from .lattice import ConvexExpansion, expand_in_vertices, positive_basis_by_blocks
 from .linalg import Tolerances, as_matrix
 from .polytope import hull_vertices, reorder_vertices, segment_vertices
 
@@ -44,14 +39,18 @@ class ZeroColumnMask:
         return tuple(j for j in range(self.original_width) if j not in kept)
 
 
+def _zero_column_mask(a1: np.ndarray) -> tuple[np.ndarray, ZeroColumnMask]:
+    """The columns of nonzero sum, as an array and as a mask."""
+    kept = np.flatnonzero(a1.sum(axis=0) > 0.0)
+    if not kept.size:
+        raise ZeroMatrixError("zero matrix")
+    return kept, ZeroColumnMask(a1.shape[1], tuple(kept.tolist()))
+
+
 def strip_zero_columns(a1) -> tuple[np.ndarray, ZeroColumnMask]:
     """Drop columns whose sum is zero; the mask records the positions."""
     a1 = as_matrix(a1)
-    sums = a1.sum(axis=0)
-    kept = np.flatnonzero(sums > 0.0)
-    if not kept.size:
-        raise ZeroMatrixError("zero matrix")
-    mask = ZeroColumnMask(a1.shape[1], tuple(kept.tolist()))
+    kept, mask = _zero_column_mask(a1)
     return np.ascontiguousarray(a1[:, kept]), mask
 
 
@@ -103,6 +102,49 @@ def residual_inf(a1, f, v) -> float:
     return float(np.abs(a1 - f @ v).max())
 
 
+def _vectors_from_weights(
+    expansion: ConvexExpansion, sums: np.ndarray, r: int, kept: np.ndarray, width: int
+) -> np.ndarray:
+    """The positive basis read off the convex weights, zero at the dropped
+    columns.
+
+    Column ``kept[i]`` is ``sums[i] * c_i``, with ``c_i`` the weights of
+    column i over the vertices and rows ``r..d`` doubled: in exact
+    arithmetic the block basis ``[V_r^-1 (X - V_x E); 2 E]``. A vertex's
+    source column has an indicator row, so it is that vector's node.
+    """
+    coefficients = expansion.coefficients
+    # Widened here, not by reinsert_zero_columns, which converts the mask's
+    # tuple of columns again.
+    v = np.zeros((coefficients.shape[1], width))
+    v[:, kept] = (coefficients * sums[:, None]).T
+    v[r:] *= 2.0
+    return v
+
+
+def _column_residuals(a1: np.ndarray, f: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Max-abs entry of each column of ``f @ v - a1``, in one buffer."""
+    buffer = f @ v
+    buffer -= a1
+    np.abs(buffer, out=buffer)
+    return buffer.max(axis=0)
+
+
+def _solve_columns(vs, a1, rows, f, v, columns, residuals, tol_rank: float) -> None:
+    """Replace ``columns`` of ``v`` by their block-solved basis, clipped at
+    0, where that reproduces the column of ``a1`` better; ``v`` and
+    ``residuals`` are updated in place. Rows ``r..d`` of ``v`` are twice the
+    extension rows, and the solve keeps them."""
+    r = vs.r
+    x = a1[np.ix_(rows, columns)]
+    block = positive_basis_by_blocks(vs, x, 0.5 * v[r:, columns], tol_rank, 0.0)
+    np.maximum(block, 0.0, out=block)
+    candidate = np.abs(a1[:, columns] - f @ block).max(axis=0)
+    better = candidate < residuals[columns]
+    v[:, columns[better]] = block[:, better]
+    residuals[columns[better]] = candidate[better]
+
+
 @dataclass(frozen=True, eq=False)
 class Factorization:
     """Nonnegative factors with ``F @ V`` reproducing the input, plus run
@@ -110,7 +152,9 @@ class Factorization:
 
     Indices are 0-based. Column indices (``nodes``,
     ``vertex_source_columns``) refer to the original, unstripped input;
-    ``nodes_stripped`` ties the same nodes to the stripped matrix.
+    ``nodes_stripped`` ties the same nodes to the stripped matrix. The node
+    of basis vector k is vertex k's source column, so ``nodes`` equals
+    ``vertex_source_columns``.
     """
 
     F: np.ndarray
@@ -134,10 +178,14 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
 
     Pipeline: strip zero columns, pick a basic row set, normalize columns
     onto the simplex, deduplicate, find the polytope vertices (segment fast
-    path when exactly two basic rows), reorder them, synthesize extension
-    rows when there are more vertices than basic rows, solve for the
-    positive basis, locate its nodes, and assemble F from the node columns
-    of the input.
+    path when exactly two basic rows), reorder them, and write every
+    column's share as convex weights over the vertices. The positive basis
+    V is read off those weights: column i is its weights times its column
+    sum, rows ``r..d`` doubled. Each vertex's source column is then the
+    node of its basis vector, and F is the input at the node columns
+    divided by the node values. A column whose residual exceeds
+    ``tol.recon * (1 + max A)`` gets its block-solved basis column instead,
+    clipped at 0, when that reproduces it better.
 
     The inner dimension ``p`` equals the vertex count and is known before
     the factors are built. When ``p >= min(n, m)`` the run records a
@@ -171,15 +219,17 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
                 err.stage = stage
             raise
         now = time.perf_counter()
-        timings[stage] = (now - t_last) * 1000.0
+        timings[stage] = timings.get(stage, 0.0) + (now - t_last) * 1000.0
         t_last = now
         return out
 
-    a, mask = run("strip", strip_zero_columns, a1)
-    m = a.shape[1]
-    basic = run("basic_set", select_basic_set, a, tol.rank)
+    kept, mask = run("strip", _zero_column_mask, a1)
+    m = kept.size
+    # Zero columns stay exactly 0 under the elimination and are never a pivot
+    # column, so the unstripped matrix gives the stripped matrix's rows.
+    basic = run("basic_set", select_basic_set, a1, tol.rank)
     r = basic.r
-    table = run("basic_function", basic_function, basic.X)
+    table = run("basic_function", basic_function, basic.X[:, kept])
     rng = run("distinct_values", distinct_values, table, tol.dedup)
     if rng.merged_inexact:
         warnings.append("near-duplicate basic-function values merged within the dedup tolerance")
@@ -200,25 +250,17 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
             raise IntermediateDimensionError(message, stage="vertices")
         warnings.append(message)
 
-    extension = np.empty((0, m))
-    if d > r:
-        expansion = run("expansion", expand_in_vertices, table, vs, rng, tol.feas)
-        extension = synthesize_vectors(expansion, table.sums, r)
-
-    vectors = run(
-        "basis", positive_basis_by_blocks, vs, basic.X, extension, tol.rank, tol.node
-    )
-    if vectors.min() < 0.0:
-        warnings.append(
-            f"positive basis has entries below -{tol.node:g} (min {vectors.min():.3e})"
-        )
-    nodes_stripped = run("nodes", find_nodes, vectors, tol.node)
-
-    f = build_f(a, vectors, nodes_stripped)
-    v = reinsert_zero_columns(vectors, mask)
-    residual = residual_inf(a1, f, v)
-    timings["assemble"] = (time.perf_counter() - t_last) * 1000.0
-    if residual > tol.recon * (1.0 + float(np.abs(a1).max())):
+    expansion = run("expansion", expand_in_vertices, table, vs, rng, tol.feas)
+    v = run("basis", _vectors_from_weights, expansion, table.sums, r, kept, m_original)
+    nodes = tuple(mask.kept_columns[j] for j in vs.source_columns)
+    f = run("nodes", build_f, a1, v, nodes)
+    residuals = run("assemble", _column_residuals, a1, f, v)
+    bound = tol.recon * (1.0 + float(a1.max()))
+    over = np.flatnonzero(residuals > bound)
+    if over.size:
+        run("basis", _solve_columns, vs, a1, basic.row_indices, f, v, over, residuals, tol.rank)
+    residual = float(residuals.max())
+    if residual > bound:
         warnings.append(f"reconstruction residual {residual:.3e} exceeds the tolerance bound")
 
     return Factorization(
@@ -226,12 +268,12 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
         V=v,
         p=d,
         classification=classify(r, d, rng.mu, m),
-        nodes=tuple(mask.kept_columns[i] for i in nodes_stripped),
-        nodes_stripped=nodes_stripped,
+        nodes=nodes,
+        nodes_stripped=vs.source_columns,
         basic_rows=basic.row_indices,
         r=r,
         mu=rng.mu,
-        vertex_source_columns=tuple(mask.kept_columns[i] for i in vs.source_columns),
+        vertex_source_columns=nodes,
         residual_inf=residual,
         warnings=tuple(warnings),
         mask=mask,

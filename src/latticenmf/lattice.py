@@ -29,12 +29,18 @@ def expand_in_vertices(
 ) -> ConvexExpansion:
     """Expand every column's point over the vertex set.
 
-    Columns whose value is itself a vertex get the exact indicator row.
-    Every other column takes its value's row of ``vs.unique_coefficients``
-    (the hull pass's weights). The hull pass writes a row for every value,
-    but the last pass's substitutions add up their error over the drops,
-    with no bound proven. So the columns whose row misses their own point
-    by more than ``tol_feas``, and every column of a vertex set built
+    ``factorize`` runs this for every vertex set, ``d == r`` included: the
+    rows, scaled by the column sums, are its positive basis. On a segment
+    (two vertices in two coordinates, without weights, as from
+    ``segment_vertices``) each column takes the closed-form weight ``lambda
+    = (p_0 - v_00) / (v_10 - v_00)`` on the second vertex, clipped to [0,
+    1], which is exactly 0 or 1 at a vertex's own column. Otherwise columns
+    whose value is itself a vertex get the exact indicator row, and every
+    other column takes its value's row of ``vs.unique_coefficients`` (the
+    hull pass's weights). The hull pass writes a row for every value, but
+    the last pass's substitutions add up their error over the drops, with
+    no bound proven. So the columns whose row misses their own point by
+    more than ``tol_feas``, and every column of any other vertex set built
     without weights, are solved again, together in one stacked solve over
     the vertices: one valid combination among many. With none of them,
     nothing is solved.
@@ -42,11 +48,16 @@ def expand_in_vertices(
     d = vs.d
     membership = np.asarray(rng.membership)
     vertex_values = membership[list(vs.source_columns)]
-    unique_rows = np.full((rng.mu, d), np.nan)
-    if vs.unique_coefficients is not None:
-        unique_rows[:] = vs.unique_coefficients
-    unique_rows[vertex_values] = np.eye(d)
-    coefficients = unique_rows[membership]
+    if vs.unique_coefficients is None and vs.r == d == 2:
+        v = vs.vertices[:, 0]
+        weight = np.clip((table.points[:, 0] - v[0]) / (v[1] - v[0]), 0.0, 1.0)
+        coefficients = np.column_stack([1.0 - weight, weight])
+    else:
+        unique_rows = np.full((rng.mu, d), np.nan)
+        if vs.unique_coefficients is not None:
+            unique_rows[:] = vs.unique_coefficients
+        unique_rows[vertex_values] = np.eye(d)
+        coefficients = unique_rows[membership]
     # The NaN rows of a set without weights fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
     missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))

@@ -22,14 +22,12 @@ class Tolerances:
     """Numeric thresholds shared across the pipeline.
 
     rank   -- relative pivot threshold for rank decisions and solving
-    node   -- absolute threshold below which basis entries count as zero
     dedup  -- max-norm threshold for merging equal basic-function values
     feas   -- feasibility acceptance threshold for the simplex solver
     recon  -- relative bound on the reconstruction residual
     """
 
     rank: float = 1e-9
-    node: float = 1e-6
     dedup: float = 1e-9
     feas: float = 1e-9
     recon: float = 1e-8
@@ -121,7 +119,8 @@ def greedy_independent_rows(m, tol_rank: float = 1e-9) -> list[int]:
     far; the result therefore has ``rank_of(m)`` entries.
     """
     a = as_matrix(m)
-    scale = float(np.abs(a).max()) if a.size else 0.0
+    # The largest absolute entry, without an |a| temporary of a's size.
+    scale = max(float(a.max()), -float(a.min())) if a.size else 0.0
     if scale == 0.0:
         raise ZeroMatrixError("zero matrix")
     threshold = tol_rank * scale

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from latticenmf import Tolerances
+from latticenmf import ConvexExpansion, Tolerances
 from latticenmf.cli import _tolerances_from, build_parser, run
 from latticenmf.matio import read_matrix, write_matrix
 
@@ -90,15 +90,25 @@ def test_strict_mode_exits_three(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_two(tmp_path, capsys):
+    # So loose a feasibility threshold finds too few vertices to span the shares.
     source = _write_csv(tmp_path / "a.csv", MINLAT_6X6)
-    assert run([str(source), "--tol-node", "1e6", "--out-dir", str(tmp_path / "out")]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+    assert run([str(source), "--tol-feas", "0.5", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "numerical failure [reorder]" in capsys.readouterr().err
 
 
 def test_singular_basis_exits_two_with_stage(tmp_path, capsys, monkeypatch):
-    # The basis stage gets all-ones vertices, so V_r has rank 1.
+    # Column 1's weights are moved onto one vertex, so its residual exceeds
+    # the bound and the block solve runs; it gets all-ones vertices, so V_r
+    # has rank 1.
     module = importlib.import_module("latticenmf.factorize")
-    blocks = module.positive_basis_by_blocks
+    expand, blocks = module.expand_in_vertices, module.positive_basis_by_blocks
+
+    def misplaced(*args):
+        coefficients = expand(*args).coefficients.copy()
+        coefficients[1] = np.eye(coefficients.shape[1])[0]
+        return ConvexExpansion(coefficients)
+
+    monkeypatch.setattr(module, "expand_in_vertices", misplaced)
     monkeypatch.setattr(
         module,
         "positive_basis_by_blocks",

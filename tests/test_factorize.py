@@ -6,20 +6,28 @@ import pytest
 
 from latticenmf import (
     Classification,
+    ConvexExpansion,
     IntermediateDimensionError,
     InvalidEntryError,
     SingularMatrixError,
     ZeroColumnMask,
     ZeroMatrixError,
+    basic_function,
     build_f,
     classify,
+    distinct_values,
     factorize,
+    hull_vertices,
     rank_of,
     reinsert_zero_columns,
+    reorder_vertices,
     residual_inf,
+    segment_vertices,
+    select_basic_set,
     strip_zero_columns,
 )
 
+import data
 from data import (
     DIAGBLOCK_6X6,
     DIAGBLOCK_6X6_NODES,
@@ -35,6 +43,47 @@ from data import (
     SUBLAT_8X10_BASIS,
 )
 from oracles import factors_match, match_rows_up_to_scale
+
+# The module, which the package's ``factorize`` function shadows.
+PIPELINE = importlib.import_module("latticenmf.factorize")
+
+# The 2-D arrays of tests/data.py that are nonnegative inputs.
+DATA_MATRICES = [
+    value
+    for value in vars(data).values()
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.min() >= 0.0
+]
+
+
+def _misplace_column_one(monkeypatch):
+    """Move column 1's weights onto the first vertex, so that its residual
+    exceeds the bound (column 1 of MINLAT_6X6 is not a vertex column)."""
+    expand = PIPELINE.expand_in_vertices
+
+    def misplaced(*args):
+        coefficients = expand(*args).coefficients.copy()
+        coefficients[1] = np.eye(coefficients.shape[1])[0]
+        return ConvexExpansion(coefficients)
+
+    monkeypatch.setattr(PIPELINE, "expand_in_vertices", misplaced)
+
+
+def _block_solve_calls(monkeypatch):
+    """The basic rows passed to each block solve factorize makes."""
+    calls = []
+    blocks = PIPELINE.positive_basis_by_blocks
+
+    def spy(vs, x, *args):
+        calls.append(np.array(x))
+        return blocks(vs, x, *args)
+
+    monkeypatch.setattr(PIPELINE, "positive_basis_by_blocks", spy)
+    return calls
+
+
+def _with_zero_columns(a, every):
+    """``a`` with a zero column inserted before every ``every``-th column."""
+    return np.insert(a, np.arange(0, a.shape[1], every), 0.0, axis=1)
 
 
 class TestStripZeroColumns:
@@ -275,11 +324,13 @@ class TestFactorizeEdges:
         assert first.nodes == second.nodes
 
     def test_singular_basis_raises_with_stage_basis(self, monkeypatch):
-        # The basis stage gets all-ones vertices, so V_r has rank 1.
-        module = importlib.import_module("latticenmf.factorize")
-        blocks = module.positive_basis_by_blocks
+        # Column 1's weights are moved onto one vertex, so its residual
+        # exceeds the bound and the block solve runs; it gets all-ones
+        # vertices, so V_r has rank 1.
+        blocks = PIPELINE.positive_basis_by_blocks
+        _misplace_column_one(monkeypatch)
         monkeypatch.setattr(
-            module,
+            PIPELINE,
             "positive_basis_by_blocks",
             lambda vs, *a: blocks(dataclasses.replace(vs, vertices=np.ones_like(vs.vertices)), *a),
         )
@@ -318,3 +369,78 @@ class TestFactorizeProperties:
             for j in range(result.p):
                 if j != k:
                     assert result.V[j, node] == 0.0
+
+
+class TestBasisFromWeights:
+    def _inputs(self):
+        yield from DATA_MATRICES
+        yield from (_with_zero_columns(a, 2) for a in DATA_MATRICES)
+        state = np.random.default_rng(97)
+        for _ in range(10):
+            k = int(state.integers(2, 6))
+            a = state.uniform(0, 2, size=(8, k)) @ state.uniform(0, 2, size=(k, 40))
+            yield _with_zero_columns(a, int(state.integers(2, 9)))
+
+    def test_nodes_are_the_vertex_columns_with_their_column_sums(self):
+        for a in self._inputs():
+            result = factorize(a)
+            stripped, mask = strip_zero_columns(a)
+            basic = select_basic_set(stripped)
+            table = basic_function(basic.X)
+            rng = distinct_values(table)
+            hull = segment_vertices(table) if basic.r == 2 else hull_vertices(rng)
+            assert result.nodes_stripped == reorder_vertices(hull).source_columns
+            assert result.nodes == result.vertex_source_columns
+            for k, node in enumerate(result.nodes_stripped):
+                expected = table.sums[node] * (2.0 if k >= result.r else 1.0)
+                assert result.V[k, mask.kept_columns[node]] == expected
+                others = np.delete(result.V[:, mask.kept_columns[node]], k)
+                assert not others.any()
+
+    def test_basic_rows_match_the_stripped_matrix(self, monkeypatch):
+        seen = []
+        function = PIPELINE.basic_function
+
+        def spy(x):
+            seen.append(x)
+            return function(x)
+
+        monkeypatch.setattr(PIPELINE, "basic_function", spy)
+        for a in self._inputs():
+            result = factorize(a)
+            basic = select_basic_set(strip_zero_columns(a)[0])
+            assert result.basic_rows == basic.row_indices
+            assert np.array_equal(seen.pop(), basic.X)
+
+    def test_residual_matches_residual_inf(self):
+        for a in self._inputs():
+            result = factorize(a)
+            expected = residual_inf(a, result.F, result.V)
+            assert abs(result.residual_inf - expected) <= 1e-15 * (1.0 + a.max())
+
+    def test_worked_matrices_make_no_block_solve(self, monkeypatch):
+        calls = _block_solve_calls(monkeypatch)
+        for a in DATA_MATRICES:
+            factorize(a)
+        assert calls == []
+
+    def test_a_column_over_the_bound_gets_its_block_solve(self, monkeypatch):
+        calls = _block_solve_calls(monkeypatch)
+        _misplace_column_one(monkeypatch)
+        result = factorize(MINLAT_6X6)
+        assert [x.shape for x in calls] == [(3, 1)]
+        assert np.array_equal(calls[0][:, 0], MINLAT_6X6[list(result.basic_rows), 1])
+        assert result.warnings == ()
+        assert result.V.min() >= 0.0
+        assert residual_inf(MINLAT_6X6, result.F, result.V) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1.0, 1e8, 1e14])
+    def test_scaled_input_keeps_its_factorization(self, scale):
+        a = MINLAT_6X6 * scale
+        result = factorize(a)
+        assert result.p == 4
+        assert result.nodes == factorize(MINLAT_6X6).nodes
+        assert result.warnings == ()
+        assert result.F.min() >= 0.0
+        assert result.V.min() >= 0.0
+        assert result.residual_inf <= 1e-8 * (1.0 + a.max())

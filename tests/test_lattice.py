@@ -111,6 +111,19 @@ class TestExpandInVertices:
             assert set(coeff[i]) <= {0.0, 1.0}
 
 
+    def test_segment_weights_are_read_off_the_first_coordinate(self, monkeypatch):
+        monkeypatch.setattr(latticenmf.lattice, "convex_combinations", None)
+        table = basic_function(RANK2_ROWS)
+        rng = distinct_values(table)
+        vs = reorder_vertices(segment_vertices(table))
+        coeff = expand_in_vertices(table, vs, rng).coefficients
+        assert coeff.min() >= 0.0
+        assert np.abs(coeff.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(coeff @ vs.vertices - table.points).max() <= 1e-15
+        for k, column in enumerate(vs.source_columns):
+            assert np.array_equal(coeff[column], np.eye(2)[k])
+
+
 class TestExpansionPerDistinctValue:
     @staticmethod
     def _counting(monkeypatch):

@@ -19,12 +19,11 @@ class TestTolerances:
     def test_defaults(self):
         tol = Tolerances()
         assert tol.rank == 1e-9
-        assert tol.node == 1e-6
         assert tol.dedup == 1e-9
         assert tol.feas == 1e-9
         assert tol.recon == 1e-8
 
-    @pytest.mark.parametrize("field", ["rank", "node", "dedup", "feas", "recon"])
+    @pytest.mark.parametrize("field", ["rank", "dedup", "feas", "recon"])
     def test_rejects_negative(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: -1e-3})
