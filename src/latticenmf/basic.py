@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroColumnError
-from .linalg import as_matrix, greedy_independent_rows
+from .linalg import as_matrix, independent_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,9 +24,13 @@ class BasicSet:
 
 def select_basic_set(a, tol_rank: float = 1e-9) -> BasicSet:
     """Pick independent rows with the first-wins greedy scan."""
-    a = as_matrix(a)
-    indices = greedy_independent_rows(a, tol_rank)
-    return BasicSet(tuple(indices), a[indices].copy())
+    return basic_set_of(as_matrix(a), tol_rank)
+
+
+def basic_set_of(a: np.ndarray, tol_rank: float) -> BasicSet:
+    """``select_basic_set`` of a matrix ``as_matrix`` has checked."""
+    indices = independent_rows(a, tol_rank)
+    return BasicSet(tuple(indices), a[indices])
 
 
 @dataclass(frozen=True, eq=False)

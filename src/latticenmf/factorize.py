@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basic import basic_function, distinct_values, select_basic_set
+from .basic import basic_function, basic_set_of, distinct_values
 from .errors import FactorizationError, IntermediateDimensionError, InvalidEntryError
 from .errors import ZeroMatrixError
 from .lattice import ConvexExpansion, expand_in_vertices, positive_basis_by_blocks
@@ -73,7 +73,11 @@ def build_f(a, vectors, nodes) -> np.ndarray:
     Row k of ``vectors`` is a positive-basis vector and ``nodes[k]`` its node
     column: where vector k is positive and every other vector vanishes.
     """
-    a = as_matrix(a)
+    return _f_at_nodes(as_matrix(a), vectors, nodes)
+
+
+def _f_at_nodes(a: np.ndarray, vectors: np.ndarray, nodes) -> np.ndarray:
+    """``build_f`` of a matrix ``as_matrix`` has checked."""
     nodes = list(nodes)
     return a[:, nodes] / vectors[np.arange(len(nodes)), nodes]
 
@@ -227,7 +231,7 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
     m = kept.size
     # Zero columns stay exactly 0 under the elimination and are never a pivot
     # column, so the unstripped matrix gives the stripped matrix's rows.
-    basic = run("basic_set", select_basic_set, a1, tol.rank)
+    basic = run("basic_set", basic_set_of, a1, tol.rank)
     r = basic.r
     table = run("basic_function", basic_function, basic.X[:, kept])
     rng = run("distinct_values", distinct_values, table, tol.dedup)
@@ -253,7 +257,7 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
     expansion = run("expansion", expand_in_vertices, table, vs, rng, tol.feas)
     v = run("basis", _vectors_from_weights, expansion, table.sums, r, kept, m_original)
     nodes = tuple(mask.kept_columns[j] for j in vs.source_columns)
-    f = run("nodes", build_f, a1, v, nodes)
+    f = run("nodes", _f_at_nodes, a1, v, nodes)
     residuals = run("assemble", _column_residuals, a1, f, v)
     bound = tol.recon * (1.0 + float(a1.max()))
     over = np.flatnonzero(residuals > bound)

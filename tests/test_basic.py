@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from latticenmf import (
     BasicFunctionTable,
+    InvalidEntryError,
     ZeroColumnError,
     basic,
     basic_function,
@@ -23,6 +24,11 @@ def test_select_basic_set_keeps_scan_order():
     assert basic.row_indices == (0, 1, 2)
     assert basic.r == 3
     assert np.array_equal(basic.X, MINLAT_6X6[:3])
+
+
+def test_select_basic_set_rejects_non_finite():
+    with pytest.raises(InvalidEntryError):
+        select_basic_set([[1.0, 2.0], [np.inf, 1.0]])
 
 
 def test_basic_function_worked_6x6():

@@ -304,6 +304,24 @@ class TestFactorizeEdges:
         with pytest.raises(ZeroMatrixError):
             factorize(np.zeros((3, 3)))
 
+    def test_input_is_checked_once(self, monkeypatch):
+        # factorize checks A's entries; the stages it hands A to do not
+        # check them again.
+        a = np.array(MINLAT_8X11, dtype=float)
+        check = importlib.import_module("latticenmf.linalg").as_matrix
+        calls = []
+
+        def spy(values, *args):
+            calls.append(values is a)
+            return check(values, *args)
+
+        for name in ("basic", "factorize", "lattice", "linalg", "polytope", "simplex"):
+            module = importlib.import_module(f"latticenmf.{name}")
+            if hasattr(module, "as_matrix"):
+                monkeypatch.setattr(module, "as_matrix", spy)
+        factorize(a)
+        assert calls.count(True) == 1
+
     def test_warning_when_dimension_not_reduced(self):
         result = factorize(np.eye(3))
         assert any("does not reduce dimension" in w for w in result.warnings)

@@ -179,6 +179,11 @@ class TestGreedyIndependentRows:
         with pytest.raises(ZeroMatrixError, match="zero matrix"):
             greedy_independent_rows(np.zeros((2, 2)))
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidEntryError):
+                greedy_independent_rows([[1.0, 0.0], [bad, 1.0]])
+
     def test_size_matches_rank_and_rows_independent(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -205,3 +210,32 @@ class TestGreedyIndependentRows:
             if trial % 5 == 0:
                 a[int(state.integers(0, n))] *= 1e-9
             assert greedy_independent_rows(a) == greedy_independent_rows_loop(a)
+
+    @pytest.mark.parametrize("tol_rank", [1e-9, 1e-12, 0.0])
+    def test_matches_the_row_by_row_scan_at_every_tolerance(self, tol_rank):
+        # Wide and tall low-rank products whose scan stops and restarts: a
+        # zero or dependent first row, exact and scaled copies of earlier
+        # rows between independent ones, and a row scaled by 1e-9 next to
+        # the threshold.
+        state = np.random.default_rng(73)
+        shapes = [(60, 2000), (2000, 60)]
+        shapes += [tuple(int(v) for v in state.integers(1, 40, size=2)) for _ in range(100)]
+        # Short rows of rank at most 3 are where, at tol_rank = 0, rounding
+        # alone decides whether a dependent row is kept.
+        shapes += [(int(state.integers(1, 16)), int(state.integers(1, 7))) for _ in range(400)]
+        for n, m in shapes:
+            k = int(state.integers(1, min(n, m, 8 if m > 6 else 3) + 1))
+            a = state.uniform(0, 3, size=(n, k)) @ state.uniform(0, 3, size=(k, m))
+            for j in state.integers(1, n, size=int(state.integers(0, 4))) if n > 1 else ():
+                source = int(state.integers(0, j))
+                a[j] = a[source] * (1.0 if state.random() < 0.5 else state.uniform(0.1, 10.0))
+            first = state.random()
+            if first < 0.2:
+                a[0] = 0.0
+            elif first < 0.4 and n > 1:
+                a[0] = 0.5 * a[1] + 2.0 * a[-1]
+            if state.random() < 0.5:
+                a[int(state.integers(0, n))] *= 1e-9
+            if not a.any():
+                continue
+            assert greedy_independent_rows(a, tol_rank) == greedy_independent_rows_loop(a, tol_rank)
