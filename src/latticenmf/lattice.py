@@ -60,7 +60,9 @@ def expand_in_vertices(
         coefficients = unique_rows[membership]
     # The NaN rows of a set without weights fail the comparison too.
     reproduced = np.abs(coefficients @ vs.vertices - table.points).max(axis=1) <= tol_feas
-    missing = np.flatnonzero(~reproduced & ~np.isin(membership, vertex_values))
+    is_vertex = np.zeros(rng.mu, dtype=bool)
+    is_vertex[vertex_values] = True
+    missing = np.flatnonzero(~reproduced & ~is_vertex[membership])
     if missing.size:
         solved = convex_combinations(table.points[missing], vs.vertices, tol_feas)
         failed = np.flatnonzero(solved.status != FEASIBLE)

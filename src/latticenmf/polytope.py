@@ -17,6 +17,10 @@ from .simplex import FEASIBLE, INFEASIBLE, convex_combinations
 # Score entries computed at once when picking points along many directions.
 _SCORE_ENTRIES = 1 << 18
 
+# Directions from the centroid the seed pass scores: those of the points of
+# largest whitened norm when there are more points.
+_SEED_POINTS = 256
+
 # Simplices of confirmed points a round tries on the pending points before
 # its stacked solve; fewer when there are fewer subsets.
 _COVER_SUBSETS = 40
@@ -44,10 +48,10 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     rounds. The confirmed set starts with the points of largest and of
     smallest value in each coordinate, exact ties broken to the
     lexicographic maximum (a vertex of the face they span), and with the
-    points certified (below) along the direction from the centroid to each
-    point. Each round first tries the simplex cover (below) on every unique
-    point not yet resolved, and picks along the cover's facet directions
-    when it has any. Only a round without one tests the points left against
+    points certified (below) along the seed directions (below). Each round
+    first tries the simplex cover (below) on every unique point not yet
+    resolved, and picks along the cover's facet directions when it has any.
+    Only a round without one tests the points left against
     the hull of the confirmed points, in one stacked phase-one solve. A
     feasible test makes the point interior. An infeasible one yields a
     separating direction ``w`` (the phase-one dual); the pending point
@@ -59,11 +63,30 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     retried in the next round; a round whose tests give no pick raises the
     first failed test's fault.
 
+    Seed directions. Each point ``p`` gives the direction ``p - mean`` from
+    the centroid and its whitened form ``S^-1 (p - mean)``, with ``S`` the
+    scatter matrix of the centered points over their first ``r - 1``
+    coordinates (the shares sum to 1, so the last is implied) and 0 on the
+    last coordinate. Along the whitened direction a point scores its
+    Mahalanobis product with ``p``, which no invertible affine map of the
+    shares changes, so skewed shares keep their vertices certified. A vertex
+    near the centroid in that metric can lose to a neighbour along its own
+    whitened direction; the plain directions certify most of those.
+    When ``S`` is singular (fewer than ``r`` points, or all on a lower flat)
+    only the plain directions are scored. With more than ``_SEED_POINTS``
+    points only those of largest norm ``(p - mean) . S^-1 (p - mean)`` give
+    directions, so the pass scores O(mu r) entries per direction over at
+    most ``2 * _SEED_POINTS`` directions; any vertex it misses is found by
+    the rounds.
+
     Simplex cover. A round tries simplices of ``r`` confirmed points on the
     pending points (Akl & Toussaint 1978): every ``r``-subset in
     lexicographic order when there are at most ``_COVER_SUBSETS``, which by
     Caratheodory covers every point strictly inside the confirmed hull,
-    otherwise that many drawn by a generator seeded afresh for each call. A
+    otherwise that many drawn by a generator seeded afresh for each call.
+    When a drawn cover covers more than half its points and gives no facet
+    direction, it draws as many subsets again for the points it left, in the
+    same call: the last few interior points then need no solve. A
     point whose weights on some subset are nonnegative and miss the ``r``
     coordinate equations and the unit sum by at most ``tol_feas * (1 +
     max(1, max|p|))`` in total, the objective at which the solve declares
@@ -100,8 +123,11 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     tie_tol * |(w, c)|_inf`` certifies that every such solve finds ``p``
     extreme. On the simplex ``|c| <= max|w|``, and the test is ``g > 2 *
     tie_tol * max|w|`` against the threshold ``2 * tol_feas``. Every
-    direction scored is checked (``+-e_j``, those from the centroid, the
-    facet directions and the rounds' duals), the gap taken over all points.
+    direction scored is checked (``+-e_j``, the seed directions, the facet
+    directions and the rounds' duals), the gap taken over all points: the
+    proof holds whatever the direction, so whitening or capping the seed
+    directions changes which points are certified, never whether a
+    certificate is sound.
 
     A near-tie can confirm a point that is not extreme (one just inside a
     vertex on an edge leaving the maximal face). By the end every point lies
@@ -157,7 +183,7 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     # tests are ill-conditioned.
     ends = np.hstack([points == points.max(axis=0), points == points.min(axis=0)])
     confirmed[np.where(ends, lex_rank[:, None], -1).argmax(axis=0)] = True
-    extreme_along(np.vstack([np.eye(r), -np.eye(r), points - points.mean(axis=0)]), pick=False)
+    extreme_along(np.vstack([np.eye(r), -np.eye(r), _seed_directions(points)]), pick=False)
     confirmed |= certified
     tested = []  # (interior points, points confirmed at their test, their weights on them)
     generator = None
@@ -223,10 +249,12 @@ def _simplex_cover(
 
     Every ``r``-subset of ``pts`` is tried in lexicographic order when there
     are at most ``_COVER_SUBSETS`` of them, otherwise ``_COVER_SUBSETS``
-    drawn from the generator ``draws()``; singular ones are skipped. A row
-    is covered by the first subset whose weights are nonnegative and miss
-    the ``r`` coordinate equations and the unit sum by at most ``tol_feas *
-    (1 + max(1, max|p|))`` in total (see ``hull_vertices``).
+    drawn from the generator ``draws()``; singular ones are skipped. When
+    drawn subsets cover more than half the rows and give no direction, as
+    many more are drawn for the rows left (see ``hull_vertices``). A row is
+    covered by the first subset whose weights are nonnegative and miss the
+    ``r`` coordinate equations and the unit sum by at most ``tol_feas * (1 +
+    max(1, max|p|))`` in total (see ``hull_vertices``).
 
     Row ``i`` of a subset's inverse is its barycentric functional
     ``lambda_i``: 1 at the subset's point ``i`` and 0 at its other points.
@@ -237,10 +265,27 @@ def _simplex_cover(
     ``-lambda_i`` for each facet row that separates some uncovered row, in
     subset order."""
     (count, r), q = points.shape, len(pts)
+
+    def drawn() -> np.ndarray:
+        return np.argsort(draws().random((_COVER_SUBSETS, q)), axis=1)[:, :r]
+
     if comb(q, r) <= _COVER_SUBSETS:
         subsets = np.array(list(combinations(range(q), r)), dtype=int).reshape(-1, r)
+        covered, x, directions = _cover_by(subsets, points, pts, tol_feas, tie_tol)
     else:
-        subsets = np.argsort(draws().random((_COVER_SUBSETS, q)), axis=1)[:, :r]
+        covered, x, directions = _cover_by(drawn(), points, pts, tol_feas, tie_tol)
+        left = np.flatnonzero(~covered)
+        if not directions.size and 0 < 2 * left.size < count:
+            again, y, directions = _cover_by(drawn(), points[left], pts, tol_feas, tie_tol)
+            covered[left[again]] = True
+            x[left[again]] = y[again]
+    return covered, x[covered], directions
+
+
+def _cover_by(subsets, points, pts, tol_feas: float, tie_tol: float):
+    """``_simplex_cover`` on the given ``r``-subsets of ``pts``, with a row
+    of weights for every row of ``points`` (zero where uncovered)."""
+    (count, r), q = points.shape, len(pts)
     simplices = pts[subsets].transpose(0, 2, 1)  # K x r x r, one point per column
     try:
         inverses = np.linalg.inv(simplices)
@@ -250,7 +295,7 @@ def _simplex_cover(
         inverses = np.linalg.inv(simplices)
     covered, x = np.zeros(count, dtype=bool), np.zeros((count, q))
     if not len(subsets):
-        return covered, x[covered], np.empty((0, r))
+        return covered, x, np.empty((0, r))
     eps = tie_tol * np.abs(inverses).max(axis=2)  # K x r, one per row lambda_i
     facet = (inverses @ pts.T).min(axis=2) >= -eps
     separating = np.zeros_like(facet)
@@ -262,18 +307,58 @@ def _simplex_cover(
         # The subset's points on the middle axis, where reducing is fast.
         lam = (rows @ p.T).reshape(len(subsets), r, -1)  # K x r x P
         inside = lam.min(axis=1) >= 0.0
-        # Residuals only of the nonnegative weights, a few of the K x P.
-        k, j = np.nonzero(inside)
-        w = lam[k, :, j]
-        residual = np.abs((simplices[k] @ w[:, :, None])[:, :, 0] - p[j]).sum(axis=1)
-        residual += np.abs(w.sum(axis=1) - 1.0)
-        inside[k, j] = residual <= bound[j]
-        hits = inside.any(axis=0)
-        first, hit = inside.argmax(axis=0), np.flatnonzero(hits)
+        # The residual of each point's first nonnegative subset; only where
+        # it misses the bound is the point's next one tried.
+        first = inside.argmax(axis=0)
+        hits = np.zeros(len(p), dtype=bool)
+        j = np.flatnonzero(inside.any(axis=0))
+        while j.size:
+            k = first[j]
+            w = lam[k, :, j]
+            residual = np.abs((simplices[k] @ w[:, :, None])[:, :, 0] - p[j]).sum(axis=1)
+            residual += np.abs(w.sum(axis=1) - 1.0)
+            met = residual <= bound[j]
+            hits[j[met]] = True
+            j = j[~met]
+            inside[first[j], j] = False
+            first[j] = inside[:, j].argmax(axis=0)
+            j = j[inside[first[j], j]]
+        hit = np.flatnonzero(hits)
         covered[start + hit] = True
         x[start + hit[:, None], subsets[first[hit]]] = lam[first[hit], :, hit]
         separating |= (lam[:, :, ~hits] < -4.0 * eps[:, :, None]).any(axis=2)
-    return covered, x[covered], -inverses[facet & separating]
+    return covered, x, -inverses[facet & separating]
+
+
+def _seed_directions(points) -> np.ndarray:
+    """The directions from the centroid to the points, ``p - mean``, and
+    their whitened forms, ``S^-1 (p - mean)`` on the first ``r - 1``
+    coordinates and 0 on the last, with ``S`` the scatter matrix of the
+    centered points there. Without the whitened ones when ``S`` is singular.
+    Only the ``_SEED_POINTS`` points of largest norm ``(p - mean) . S^-1 (p
+    - mean)``, or ``|p - mean|^2`` without ``S``, give directions."""
+    mu, r = points.shape
+    centered = points - points.mean(axis=0)
+    whitened = None
+    if mu >= r > 1:  # with fewer points the centered ones span fewer than r - 1
+        head = centered[:, :-1]
+        scatter = head.T @ head
+        try:
+            inverse = np.linalg.inv(scatter)
+        except np.linalg.LinAlgError:
+            inverse = None
+        # max|S| * max|S^-1| is the condition number of S within a factor
+        # (r - 1)^2; S counts as singular where it reaches 1 / (r * eps).
+        condition = np.inf if inverse is None else np.abs(scatter).max() * np.abs(inverse).max()
+        if condition * r * np.finfo(float).eps < 1.0:
+            whitened = np.zeros_like(centered)
+            whitened[:, :-1] = head @ inverse
+    if mu > _SEED_POINTS:
+        norm = (centered * (centered if whitened is None else whitened)).sum(axis=1)
+        kept = np.sort(np.argpartition(-norm, _SEED_POINTS)[:_SEED_POINTS])
+        centered = centered[kept]
+        whitened = None if whitened is None else whitened[kept]
+    return centered if whitened is None else np.vstack([whitened, centered])
 
 
 def _certify(scores, w, tie_tol: float):

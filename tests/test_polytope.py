@@ -25,7 +25,7 @@ from latticenmf import (
 )
 from latticenmf.simplex import convex_combination
 
-from data import DIAGBLOCK_6X6, MINLAT_6X6, MINLAT_8X11, NRF_5X4, RANK2_ROWS
+from data import MINLAT_6X6, MINLAT_8X11, NRF_5X4, RANK2_ROWS
 from oracles import hull_contains
 
 
@@ -441,12 +441,11 @@ def _near_corner_sets(state, count):
         yield distinct_values(basic_function(x))
 
 
-def _planted_sets(state, count):
-    """12 vertices on a sphere around the barycentre of the simplex in R^5
-    and 88 Dirichlet mixes of them, under a random nonnegative 5 x 5 map
-    (which keeps vertices and interior points), each carried by a column
-    with a random scale."""
-    r, d, mu = 5, 12, 100
+def _planted_sets(state, count, r=5, d=12, mu=100):
+    """``d`` vertices on a sphere around the barycentre of the simplex in
+    R^r and ``mu - d`` Dirichlet mixes of them, under a random nonnegative r
+    x r map (which keeps vertices and interior points), each carried by a
+    column with a random scale."""
     for _ in range(count):
         directions = state.standard_normal((d, r))
         directions -= directions.mean(axis=1, keepdims=True)
@@ -594,7 +593,7 @@ class TestRounds:
         monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
         monkeypatch.setattr(latticenmf.simplex, "phase_one_feasible", counted_single)
         raised = 0
-        for rng in _small_sets(state, 10):
+        for rng in _small_sets(state, 30):
             calls["stacked"] = 0
             try:
                 hull_vertices(rng)
@@ -607,8 +606,9 @@ class TestRounds:
         assert raised and calls["single"] == 0
 
     def test_a_fault_no_round_can_pass_raises_with_stage_vertices(self, monkeypatch):
-        # The simplex cover settles every point of MINLAT_8X11 with no
-        # solve; on DIAGBLOCK_6X6 a round still solves.
+        # The seed pass and the simplex cover settle every point of the
+        # worked matrices with no solve; on this near-corner matrix the
+        # rounds still solve.
         stacked = latticenmf.polytope.convex_combinations
         calls = []
 
@@ -620,7 +620,7 @@ class TestRounds:
 
         monkeypatch.setattr(latticenmf.polytope, "convex_combinations", failing)
         with pytest.raises(SimplexCheckError) as raised:
-            factorize(DIAGBLOCK_6X6)
+            factorize(next(_near_corner_matrices(np.random.default_rng(149), 1)))
         assert raised.value.stage == "vertices"
         assert calls
 
@@ -706,6 +706,34 @@ class TestRounds:
         for rng in _planted_sets(np.random.default_rng(191), 20):
             assert hull_vertices(rng).d == 12
         assert len(calls["stacked"]) <= 3
+
+    def test_seed_pass_certifies_the_planted_vertices_and_one_round_does_the_rest(
+        self, monkeypatch
+    ):
+        # The map skews the shares. Scores along the whitened directions
+        # from the centroid do not change under an affine map, and along
+        # them and the plain ones nearly every planted vertex beats all
+        # other points by a certifying gap. Then one simplex cover settles
+        # every interior point, and nothing is solved.
+        seeded_all = one_round = 0
+        for rng in _planted_sets(np.random.default_rng(191), 20):
+            calls = self._counting(monkeypatch)
+            record = _recording_certificates(monkeypatch)
+            covers, cover = [], latticenmf.polytope._simplex_cover
+
+            def counted_cover(*args):
+                covers.append(len(record["certified"]))
+                return cover(*args)
+
+            monkeypatch.setattr(latticenmf.polytope, "_simplex_cover", counted_cover)
+            vs = hull_vertices(rng)
+            monkeypatch.undo()
+            assert vs.d == 12
+            index = {tuple(p): i for i, p in enumerate(rng.unique_points)}
+            seed_certified = {p for p, _ in record["certified"][: covers[0]]}
+            seeded_all += {index[tuple(v)] for v in vs.vertices} <= seed_certified
+            one_round += len(covers) == 1 and not calls["stacked"]
+        assert seeded_all >= 18 and one_round >= 18
 
     def test_a_vertex_and_its_near_copy_are_not_dropped_together(self):
         # Column 3 is column 0 moved 4e-9 along the edge towards column 1 and
@@ -798,7 +826,7 @@ class TestSimplexCover:
         # the round picks along them with no solve. Points of Dirichlet sets are never on a face; those
         # next to a corner's edges are, within rounding.
         rounds = 0
-        for rng, events in self._runs(monkeypatch, 179, count=100, near_corner=False):
+        for rng, events in self._runs(monkeypatch, 179, count=150, near_corner=False):
             r = rng.unique_points.shape[1]
             tie_tol = 1e-9 * (1.0 + np.abs(rng.unique_points).max())
             for i, event in enumerate(events):
@@ -821,7 +849,7 @@ class TestSimplexCover:
         # than 4 * eps * |w|_inf on some point the cover leaves, with eps the
         # tie tolerance.
         directions_seen = 0
-        for rng, events in self._runs(monkeypatch, 181):
+        for rng, events in self._runs(monkeypatch, 181, count=50):
             tie_tol = 1e-9 * (1.0 + np.abs(rng.unique_points).max())
             for event, after in zip(events, events[1:]):
                 if event[0] != "cover":
@@ -836,6 +864,38 @@ class TestSimplexCover:
                 assert ((points[~covered] @ directions.T) > 4.0 * eps).any(axis=0).all()
                 directions_seen += len(directions)
         assert directions_seen >= 200
+
+    def test_a_second_draw_covers_a_straggler_without_a_solve(self, monkeypatch):
+        # A drawn cover that covers most of its points and separates none
+        # draws as many subsets again for the points it left, in the same
+        # call. On these sets that covers the last few interior points, which
+        # would otherwise go to a stacked solve.
+        cover_by, stacked = latticenmf.polytope._cover_by, latticenmf.polytope.convex_combinations
+        stragglers = 0
+        for rng in _planted_sets(np.random.default_rng(191), 20):
+            draws, solves = [], []
+
+            def recorded_cover_by(subsets, points, *args):
+                covered, x, directions = cover_by(subsets, points, *args)
+                draws.append((len(points), covered.sum(), len(directions)))
+                return covered, x, directions
+
+            def recorded_stack(*args, **kwargs):
+                solves.append(args)
+                return stacked(*args, **kwargs)
+
+            monkeypatch.setattr(latticenmf.polytope, "_cover_by", recorded_cover_by)
+            monkeypatch.setattr(latticenmf.polytope, "convex_combinations", recorded_stack)
+            hull_vertices(rng)
+            monkeypatch.undo()
+            if len(draws) < 2:
+                continue
+            (count, covered, directions), (left, again, _) = draws[:2]
+            assert directions == 0 and 0 < 2 * left < count and left == count - covered
+            if left == 1 and again == 1:
+                assert len(draws) == 2 and solves == []
+                stragglers += 1
+        assert stragglers >= 3
 
     @pytest.mark.parametrize("a", [MINLAT_6X6, MINLAT_8X11], ids=["MINLAT_6X6", "MINLAT_8X11"])
     def test_worked_matrices_make_no_hull_solve(self, monkeypatch, a):
@@ -933,3 +993,66 @@ class TestCertificates:
             compared += 1
             from_centroid += len(along_centroid)
         assert compared >= 50 and from_centroid >= 30
+
+
+class TestSeedDirections:
+    @staticmethod
+    def _collinear():
+        # r = 3 shares on the segment between two points of the simplex.
+        ends = np.array([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
+        t = np.linspace(0.0, 1.0, 7)[:, None]
+        return (1.0 - t) * ends[0] + t * ends[1], [0, 6]
+
+    @pytest.mark.parametrize("case", ["fewer points than r", "collinear r=3", "one point"])
+    def test_a_singular_scatter_falls_back_to_the_plain_directions(self, case):
+        if case == "collinear r=3":
+            points, ends = self._collinear()
+        elif case == "one point":
+            points, ends = np.array([[0.2, 0.3, 0.5]]), [0]
+        else:
+            points, ends = np.random.default_rng(229).dirichlet(np.ones(5), size=3), [0, 1, 2]
+        directions = latticenmf.polytope._seed_directions(points)
+        assert np.array_equal(directions, points - points.mean(axis=0))
+        vs = hull_vertices(distinct_values(basic_function(points.T)))
+        assert vs.source_columns == tuple(ends)
+
+    def test_whitened_directions_solve_the_scatter(self):
+        # Below the centered points' own directions come their whitened
+        # forms: S^-1 (p - mean) on the first r - 1 coordinates, 0 on the last.
+        points = np.random.default_rng(233).dirichlet(np.ones(4), size=30)
+        centered = points - points.mean(axis=0)
+        directions = latticenmf.polytope._seed_directions(points)
+        whitened, plain = directions[:30], directions[30:]
+        assert np.array_equal(plain, centered)
+        assert (whitened[:, -1] == 0.0).all()
+        head = centered[:, :-1]
+        assert np.allclose(whitened[:, :-1] @ (head.T @ head), head, rtol=0.0, atol=1e-12)
+
+    @staticmethod
+    def _wide_sets(state):
+        """Planted and Dirichlet sets with 300 to 2000 distinct values."""
+        for mu in (300, 700, 1200, 2000):
+            r = int(state.integers(3, 7))
+            yield from _planted_sets(state, 1, r=r, d=int(state.integers(r + 2, 25)), mu=mu)
+            points = state.dirichlet(np.ones(r), size=mu) * state.uniform(0.5, 20.0, size=(mu, 1))
+            yield distinct_values(basic_function(points.T))
+
+    def test_the_capped_seed_pass_keeps_the_uncapped_vertices(self, monkeypatch):
+        # With more than _SEED_POINTS distinct values, only the directions of
+        # the _SEED_POINTS of largest whitened norm are scored. Certificates
+        # hold along any direction and the rounds find every vertex, so the
+        # vertices and the weights that reproduce every value stay those of
+        # the uncapped pass.
+        cap = latticenmf.polytope._SEED_POINTS
+        for rng in self._wide_sets(np.random.default_rng(239)):
+            points = rng.unique_points
+            assert len(points) > cap
+            assert len(latticenmf.polytope._seed_directions(points)) == 2 * cap
+            capped = hull_vertices(rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(latticenmf.polytope, "_SEED_POINTS", len(points))
+                uncapped = hull_vertices(rng)
+            assert capped.source_columns == uncapped.source_columns
+            for vs in (capped, uncapped):
+                reproduced = vs.unique_coefficients @ vs.vertices
+                assert np.abs(reproduced - points).max() <= 1e-9
