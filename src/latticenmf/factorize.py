@@ -143,7 +143,7 @@ def _solve_columns(vs, a1, rows, f, v, columns, residuals, tol_rank: float) -> N
     x = a1[np.ix_(rows, columns)]
     block = positive_basis_by_blocks(vs, x, 0.5 * v[r:, columns], tol_rank, 0.0)
     np.maximum(block, 0.0, out=block)
-    candidate = np.abs(a1[:, columns] - f @ block).max(axis=0)
+    candidate = _column_residuals(a1[:, columns], f, block)
     better = candidate < residuals[columns]
     v[:, columns[better]] = block[:, better]
     residuals[columns[better]] = candidate[better]

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic import BasicFunctionTable, DistinctRange
-from .errors import ExpansionInfeasibleError, NodeNotFoundError, SingularMatrixError
-from .linalg import rank_of, solve
+from .errors import ExpansionInfeasibleError, NodeNotFoundError
+from .linalg import solve
 from .polytope import VertexSet
 from .simplex import FEASIBLE, convex_combinations
 
@@ -121,7 +121,7 @@ def positive_basis_by_blocks(
     ``x`` holds the r basic rows and ``e`` the d - r extension rows (no rows
     when d == r). With ``V_r`` and ``V_x`` the first r and the other vertices
     as columns, the lifted matrix is ``[[V_r, V_x / 2], [0, I / 2]]``, so the
-    basis is ``[V_r^-1 @ (x - V_x @ e); 2 * e]``: one inverse of ``V_r`` for
+    basis is ``[solve(V_r, x - V_x @ e); 2 * e]``: one solve with ``V_r`` for
     all columns, zeroed at or below ``tol_node`` as in ``positive_basis``.
 
     Raises SingularMatrixError when ``rank_of(V_r, tol_rank) < r``. The lifted
@@ -135,17 +135,9 @@ def positive_basis_by_blocks(
     lifted one accepts, and unlike it does not change when ``V_r`` is scaled.
     """
     r = vs.r
-    v_r = vs.vertices[:r].T
-    if rank_of(v_r, tol_rank) < r:
-        raise SingularMatrixError("singular basis matrix")
-    try:
-        # With many columns, one r x r inverse and a product is several times
-        # faster than np.linalg.solve; factorize still checks the residual.
-        inverse = np.linalg.inv(v_r)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError("singular basis matrix") from None
     e = np.asarray(e, dtype=float)
-    basis = np.vstack([inverse @ (x - vs.vertices[r:].T @ e), 2.0 * e])
+    top = solve(vs.vertices[:r].T, x - vs.vertices[r:].T @ e, tol_rank)
+    basis = np.vstack([top, 2.0 * e])
     basis[np.abs(basis) <= tol_node] = 0.0
     return basis
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -304,6 +305,14 @@ class TestFactorizeEdges:
         with pytest.raises(ZeroMatrixError):
             factorize(np.zeros((3, 3)))
 
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match=r"A must be 2-D, got shape \(3,\)"):
+            factorize(np.array([1.0, 2.0, 3.0]))
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="A must be nonempty"):
+            factorize(np.zeros((0, 3)))
+
     def test_input_is_checked_once(self, monkeypatch):
         # factorize checks A's entries; the stages it hands A to do not
         # check them again.
@@ -451,6 +460,24 @@ class TestBasisFromWeights:
         assert result.warnings == ()
         assert result.V.min() >= 0.0
         assert residual_inf(MINLAT_6X6, result.F, result.V) <= 1e-12
+
+    def test_a_column_the_block_solve_cannot_mend_is_returned_with_a_warning(self, monkeypatch):
+        # The stand-in's column is zero, so F @ V misses column 1 of A by at
+        # least its largest entry whichever column is kept.
+        _misplace_column_one(monkeypatch)
+        monkeypatch.setattr(
+            PIPELINE, "positive_basis_by_blocks", lambda vs, x, *a: np.zeros((vs.d, x.shape[1]))
+        )
+        result = factorize(MINLAT_6X6)
+        assert len(result.warnings) == 1
+        assert re.fullmatch(
+            r"reconstruction residual \S+ exceeds the tolerance bound", result.warnings[0]
+        )
+        assert result.residual_inf > 1e-8 * (1.0 + MINLAT_6X6.max())
+        expected = residual_inf(MINLAT_6X6, result.F, result.V)
+        assert abs(result.residual_inf - expected) <= 1e-15 * (1.0 + MINLAT_6X6.max())
+        assert result.F.min() >= 0.0
+        assert result.V.min() >= 0.0
 
     @pytest.mark.parametrize("scale", [1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1.0, 1e8, 1e14])
     def test_scaled_input_keeps_its_factorization(self, scale):

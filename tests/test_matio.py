@@ -129,3 +129,40 @@ def test_leading_byte_order_mark_is_skipped(tmp_path, name):
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert np.array_equal(read_matrix(marked), a)
     assert np.array_equal(read_matrix(marked), read_matrix(plain))
+
+
+def test_unknown_explicit_format(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(MatrixParseError, match="unknown matrix format 'xml'"):
+        write_matrix(path, np.eye(2), "xml")
+    assert not path.exists()
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(MatrixParseError, match="unknown matrix format 'xml'"):
+        read_matrix(path, "xml")
+
+
+_MM_HEAD = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty file"),
+        ("%%MatrixMarket matrix array real\n1 1\n1\n", "line 1: not a MatrixMarket header"),
+        ("%MatrixMarket matrix array real general\n1 1\n1\n", "line 1: not a MatrixMarket header"),
+        ("1 1\n1\n", "line 1: not a MatrixMarket header"),
+        (_MM_HEAD.replace("real", "complex") + "1 1\n1 0\n", "line 1: unsupported field 'complex'"),
+        (_MM_HEAD + "2 2 4\n1\n2\n3\n4\n", "line 2: expected 'rows cols'"),
+        (_MM_HEAD + "% c\n\n4\n1\n", "line 4: expected 'rows cols'"),
+        (_MM_HEAD + "2 x\n1\n2\n", "line 2: invalid dimensions '2 x'"),
+        (_MM_HEAD + "% c\n1.5 2\n1\n2\n", "line 3: invalid dimensions '1.5 2'"),
+        (_MM_HEAD + "0 2\n", "line 2: dimensions must be positive"),
+        (_MM_HEAD + "2 -1\n", "line 2: dimensions must be positive"),
+        (_MM_HEAD + "% only\n%  comments\n\n", "missing dimension line"),
+    ],
+)
+def test_mm_malformed_preamble(tmp_path, text, message):
+    path = tmp_path / "m.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixParseError, match=message):
+        read_matrix(path)

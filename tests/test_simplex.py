@@ -82,6 +82,15 @@ class TestPhaseOne:
         with pytest.raises(ValueError):
             phase_one_feasible(FeasibilityProblem(np.eye(2), np.ones(3)))
 
+    def test_non_finite_rhs_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="b_eq contains NaN or infinite entries"):
+                phase_one_feasible(FeasibilityProblem(np.eye(2), np.array([1.0, bad])))
+
+    def test_convex_combination_rejects_a_point_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="dimension mismatch between point and pts"):
+            convex_combination(np.array([0.5, 0.5, 0.0]), np.eye(2))
+
     @settings(deadline=None, max_examples=60)
     @given(
         a=arrays(np.float64, (3, 6), elements=st.floats(-5, 5)),
