@@ -20,7 +20,6 @@ from .errors import (
     FactorizationError,
     IntermediateDimensionError,
     InvalidEntryError,
-    NodeNotFoundError,
     SimplexCheckError,
     SimplexStalledError,
     SingularMatrixError,
@@ -43,7 +42,6 @@ from .lattice import (
     ConvexExpansion,
     basis_matrix,
     expand_in_vertices,
-    find_nodes,
     positive_basis,
     positive_basis_by_blocks,
     synthesize_vectors,
@@ -72,7 +70,6 @@ __all__ = [
     "FeasibilityResult",
     "IntermediateDimensionError",
     "InvalidEntryError",
-    "NodeNotFoundError",
     "SimplexCheckError",
     "SimplexStalledError",
     "SingularMatrixError",
@@ -89,7 +86,6 @@ __all__ = [
     "distinct_values",
     "expand_in_vertices",
     "factorize",
-    "find_nodes",
     "greedy_independent_rows",
     "hull_vertices",
     "is_extreme_point",

@@ -51,9 +51,5 @@ class SpanDeficiencyError(FactorizationError):
     """Fewer independent vertices than basic rows; tolerances are off."""
 
 
-class NodeNotFoundError(FactorizationError):
-    """No node column exists for some basis vector."""
-
-
 class IntermediateDimensionError(FactorizationError):
     """Strict mode: the factorization would not reduce dimension."""

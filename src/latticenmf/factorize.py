@@ -141,7 +141,7 @@ def _solve_columns(vs, a1, rows, f, v, columns, residuals, tol_rank: float) -> N
     extension rows, and the solve keeps them."""
     r = vs.r
     x = a1[np.ix_(rows, columns)]
-    block = positive_basis_by_blocks(vs, x, 0.5 * v[r:, columns], tol_rank, 0.0)
+    block = positive_basis_by_blocks(vs, x, 0.5 * v[r:, columns], tol_rank)
     np.maximum(block, 0.0, out=block)
     candidate = _column_residuals(a1[:, columns], f, block)
     better = candidate < residuals[columns]

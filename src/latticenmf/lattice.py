@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basic import BasicFunctionTable, DistinctRange
-from .errors import ExpansionInfeasibleError, NodeNotFoundError
+from .errors import ExpansionInfeasibleError
 from .linalg import solve
 from .polytope import VertexSet
 from .simplex import FEASIBLE, convex_combinations
@@ -106,23 +106,21 @@ def basis_matrix(vs: VertexSet) -> np.ndarray:
     return lifted
 
 
-def positive_basis(l, y, tol_rank: float = 1e-9, tol_node: float = 1e-6) -> np.ndarray:
-    """Solve ``l @ basis = y`` and zero entries below the node threshold."""
-    basis = solve(l, y, tol_rank)
-    basis[np.abs(basis) <= tol_node] = 0.0
-    return basis
+def positive_basis(l, y, tol_rank: float = 1e-9) -> np.ndarray:
+    """Solve ``l @ basis = y``: the paper's positive basis for the lifted
+    vertex matrix ``l = basis_matrix(vs)``, as computed. The nodes are the
+    vertices' source columns, so no threshold zeroes an entry."""
+    return solve(l, y, tol_rank)
 
 
-def positive_basis_by_blocks(
-    vs: VertexSet, x, e, tol_rank: float = 1e-9, tol_node: float = 1e-6
-) -> np.ndarray:
+def positive_basis_by_blocks(vs: VertexSet, x, e, tol_rank: float = 1e-9) -> np.ndarray:
     """``positive_basis(basis_matrix(vs), vstack([x, e]))`` by blocks.
 
     ``x`` holds the r basic rows and ``e`` the d - r extension rows (no rows
     when d == r). With ``V_r`` and ``V_x`` the first r and the other vertices
     as columns, the lifted matrix is ``[[V_r, V_x / 2], [0, I / 2]]``, so the
     basis is ``[solve(V_r, x - V_x @ e); 2 * e]``: one solve with ``V_r`` for
-    all columns, zeroed at or below ``tol_node`` as in ``positive_basis``.
+    all columns, returned as computed, with no node threshold.
 
     Raises SingularMatrixError when ``rank_of(V_r, tol_rank) < r``. The lifted
     matrix is zero below ``V_r``, so its elimination takes the pivots of
@@ -137,25 +135,4 @@ def positive_basis_by_blocks(
     r = vs.r
     e = np.asarray(e, dtype=float)
     top = solve(vs.vertices[:r].T, x - vs.vertices[r:].T @ e, tol_rank)
-    basis = np.vstack([top, 2.0 * e])
-    basis[np.abs(basis) <= tol_node] = 0.0
-    return basis
-
-
-def find_nodes(basis, tol_node: float = 1e-6) -> tuple[int, ...]:
-    """Smallest node column for each basis vector.
-
-    Column i is a node of vector k when vector k exceeds the threshold
-    there and every other vector is absolutely below it. Raises
-    NodeNotFoundError when some vector has no node column.
-    """
-    b = np.asarray(basis, dtype=float)
-    d = b.shape[0]
-    positive = b > tol_node
-    small = np.abs(b) <= tol_node
-    # Vector k is positive at column i and the other d - 1 vectors are small there.
-    candidate = positive & (small.sum(axis=0) - small == d - 1)
-    found = candidate.any(axis=1)
-    if not found.all():
-        raise NodeNotFoundError(f"no node column for basis vector {int(np.argmin(found))}")
-    return tuple(int(i) for i in candidate.argmax(axis=1))
+    return np.vstack([top, 2.0 * e])

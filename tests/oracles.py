@@ -212,6 +212,12 @@ def find_nodes_loop(basis, tol_node: float = 1e-6):
     return nodes
 
 
+def find_nodes(basis, tol_node: float = 1e-6) -> tuple:
+    """``find_nodes_loop`` as a tuple: the node column of each basis vector,
+    None for a vector without one."""
+    return tuple(find_nodes_loop(basis, tol_node))
+
+
 def match_rows_up_to_scale(got, expected, tol: float = 1e-9):
     """Permutation sigma with got[k] == c_k * expected[sigma(k)], c_k > 0.
 

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from data import (
     SUBLAT_8X10_BASIC_ROWS,
     SUBLAT_8X10_BASIS,
 )
+from near_corner import near_corner_inputs
 from oracles import factors_match, match_rows_up_to_scale
 
 # The module, which the package's ``factorize`` function shadows.
@@ -478,6 +480,21 @@ class TestBasisFromWeights:
         assert abs(result.residual_inf - expected) <= 1e-15 * (1.0 + MINLAT_6X6.max())
         assert result.F.min() >= 0.0
         assert result.V.min() >= 0.0
+
+    def test_the_block_solve_mends_near_corner_columns(self, monkeypatch):
+        # Unpatched 6 x 9 sets of the near-corner family: before the repair
+        # one column is at 1.78 (126/7) or 2.09 (107/23) times the bound,
+        # after it at about 1e-7 of it.
+        calls = _block_solve_calls(monkeypatch)
+        for seed, index in [(126, 7), (107, 23)]:
+            a = next(islice(near_corner_inputs(seed), index, None))
+            calls.clear()
+            result = factorize(a)
+            assert len(calls) >= 1
+            assert not any("reconstruction residual" in w for w in result.warnings)
+            residual = max(result.residual_inf, residual_inf(a, result.F, result.V))
+            assert residual <= 1e-8 * (1.0 + a.max())
+            assert result.V.min() >= 0.0
 
     @pytest.mark.parametrize("scale", [1e-14, 1e-10, 1e-8, 1e-6, 1e-4, 1.0, 1e8, 1e14])
     def test_scaled_input_keeps_its_factorization(self, scale):
