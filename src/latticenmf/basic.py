@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroColumnError
-from .linalg import as_matrix, independent_rows
+from .linalg import Tolerances, as_matrix, independent_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +22,7 @@ class BasicSet:
         return len(self.row_indices)
 
 
-def select_basic_set(a, tol_rank: float = 1e-9) -> BasicSet:
+def select_basic_set(a, tol_rank: float = Tolerances.rank) -> BasicSet:
     """Pick independent rows with the first-wins greedy scan."""
     return basic_set_of(as_matrix(a), tol_rank)
 
@@ -106,7 +106,9 @@ def _sorted_runs(points, tol_dedup: float):
     return order, starts, spread.max(axis=1)
 
 
-def distinct_values(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> DistinctRange:
+def distinct_values(
+    table: BasicFunctionTable, tol_dedup: float = Tolerances.dedup
+) -> DistinctRange:
     """Merge columns whose points differ by at most ``tol_dedup`` in max-norm.
 
     Each unique point is represented by the smallest column index attaining

@@ -28,7 +28,10 @@ class Classification(enum.Enum):
 
 @dataclass(frozen=True)
 class ZeroColumnMask:
-    """Which columns of the original matrix survived zero-column stripping."""
+    """Which columns of the original matrix survived zero-column stripping.
+
+    ``factorize`` keeps the columns that are nonzero in the basic rows; every
+    entry of a column it drops is at most ``tol.rank * max A``."""
 
     original_width: int
     kept_columns: tuple[int, ...]
@@ -103,7 +106,7 @@ def residual_inf(a1, f, v) -> float:
     v = as_matrix(v, "V")
     if f.shape[1] != v.shape[0] or a1.shape != (f.shape[0], v.shape[1]):
         raise ValueError(f"shape mismatch: A {a1.shape}, F {f.shape}, V {v.shape}")
-    return float(np.abs(a1 - f @ v).max())
+    return float(_column_residuals(a1, f, v).max())
 
 
 def _vectors_from_weights(
@@ -180,14 +183,14 @@ class Factorization:
 def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) -> Factorization:
     """Factor a nonnegative matrix exactly into nonnegative ``F @ V``.
 
-    Pipeline: strip zero columns, pick a basic row set, normalize columns
-    onto the simplex, deduplicate, find the polytope vertices (segment fast
-    path when exactly two basic rows), reorder them, and write every
-    column's share as convex weights over the vertices. The positive basis
-    V is read off those weights: column i is its weights times its column
-    sum, rows ``r..d`` doubled. Each vertex's source column is then the
-    node of its basis vector, and F is the input at the node columns
-    divided by the node values. A column whose residual exceeds
+    Pipeline: pick a basic row set, strip the columns that are zero in it,
+    normalize columns onto the simplex, deduplicate, find the polytope
+    vertices (segment fast path when exactly two basic rows), reorder them,
+    and write every column's share as convex weights over the vertices.
+    The positive basis V is read off those weights: column i is its weights
+    times its column sum, rows ``r..d`` doubled. Each vertex's source column
+    is then the node of its basis vector, and F is the input at the node
+    columns divided by the node values. A column whose residual exceeds
     ``tol.recon * (1 + max A)`` gets its block-solved basis column instead,
     clipped at 0, when that reproduces it better.
 
@@ -227,12 +230,10 @@ def factorize(a1, tolerances: Tolerances | None = None, strict: bool = False) ->
         t_last = now
         return out
 
-    kept, mask = run("strip", _zero_column_mask, a1)
-    m = kept.size
-    # Zero columns stay exactly 0 under the elimination and are never a pivot
-    # column, so the unstripped matrix gives the stripped matrix's rows.
     basic = run("basic_set", basic_set_of, a1, tol.rank)
     r = basic.r
+    kept, mask = run("strip", _zero_column_mask, basic.X)
+    m = kept.size
     table = run("basic_function", basic_function, basic.X[:, kept])
     rng = run("distinct_values", distinct_values, table, tol.dedup)
     if rng.merged_inexact:

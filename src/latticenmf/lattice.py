@@ -8,7 +8,7 @@ import numpy as np
 
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import ExpansionInfeasibleError
-from .linalg import solve
+from .linalg import Tolerances, solve
 from .polytope import VertexSet
 from .simplex import FEASIBLE, convex_combinations
 
@@ -25,7 +25,7 @@ def expand_in_vertices(
     table: BasicFunctionTable,
     vs: VertexSet,
     rng: DistinctRange,
-    tol_feas: float = 1e-9,
+    tol_feas: float = Tolerances.feas,
 ) -> ConvexExpansion:
     """Expand every column's point over the vertex set.
 
@@ -106,14 +106,14 @@ def basis_matrix(vs: VertexSet) -> np.ndarray:
     return lifted
 
 
-def positive_basis(l, y, tol_rank: float = 1e-9) -> np.ndarray:
+def positive_basis(l, y, tol_rank: float = Tolerances.rank) -> np.ndarray:
     """Solve ``l @ basis = y``: the paper's positive basis for the lifted
     vertex matrix ``l = basis_matrix(vs)``, as computed. The nodes are the
     vertices' source columns, so no threshold zeroes an entry."""
     return solve(l, y, tol_rank)
 
 
-def positive_basis_by_blocks(vs: VertexSet, x, e, tol_rank: float = 1e-9) -> np.ndarray:
+def positive_basis_by_blocks(vs: VertexSet, x, e, tol_rank: float = Tolerances.rank) -> np.ndarray:
     """``positive_basis(basis_matrix(vs), vstack([x, e]))`` by blocks.
 
     ``x`` holds the r basic rows and ``e`` the d - r extension rows (no rows

@@ -56,7 +56,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def rank_of(m, tol_rank: float = 1e-9) -> int:
+def rank_of(m, tol_rank: float = Tolerances.rank) -> int:
     """Pivot count of row reduction with partial pivoting.
 
     A pivot counts when its magnitude exceeds ``tol_rank`` times the
@@ -88,7 +88,7 @@ def rank_of(m, tol_rank: float = 1e-9) -> int:
     return rank
 
 
-def solve(l, b, tol_rank: float = 1e-9) -> np.ndarray:
+def solve(l, b, tol_rank: float = Tolerances.rank) -> np.ndarray:
     """Solve ``l @ x = b``; ``b`` is a vector or stacked right-hand sides.
 
     Raises SingularMatrixError when ``rank_of(l, tol_rank) < n``: the
@@ -117,7 +117,7 @@ def solve(l, b, tol_rank: float = 1e-9) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
-def greedy_independent_rows(m, tol_rank: float = 1e-9) -> list[int]:
+def greedy_independent_rows(m, tol_rank: float = Tolerances.rank) -> list[int]:
     """Indices of a maximal independent row set, first-wins scan order.
 
     A row is kept exactly when it enlarges the span of the rows kept so

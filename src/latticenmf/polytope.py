@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -11,7 +11,7 @@ import numpy as np
 
 from .basic import BasicFunctionTable, DistinctRange
 from .errors import SpanDeficiencyError
-from .linalg import greedy_independent_rows
+from .linalg import Tolerances, greedy_independent_rows
 from .simplex import FEASIBLE, INFEASIBLE, convex_combinations
 
 # Score entries computed at once when picking points along many directions.
@@ -41,7 +41,7 @@ class VertexSet:
         return self.vertices.shape[0]
 
 
-def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
+def hull_vertices(rng: DistinctRange, tol_feas: float = Tolerances.feas) -> VertexSet:
     """Extreme points of the unique values, in first-occurrence order.
 
     Output-sensitive frame search (Clarkson 1994; Dula & Helgason 1996) in
@@ -186,15 +186,9 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     extreme_along(np.vstack([np.eye(r), -np.eye(r), _seed_directions(points)]), pick=False)
     confirmed |= certified
     tested = []  # (interior points, points confirmed at their test, their weights on them)
-    generator = None
-
-    def draws() -> np.random.Generator:
-        """The call's generator, made at the first draw: a cover with few
-        subsets tries them all and draws nothing."""
-        nonlocal generator
-        if generator is None:
-            generator = np.random.default_rng(0)
-        return generator
+    # The call's generator, made at the first draw: a cover with few subsets
+    # tries them all and draws nothing.
+    draws = functools.cache(functools.partial(np.random.default_rng, 0))
 
     pending = np.flatnonzero(~confirmed)
     while pending.size:
@@ -240,9 +234,7 @@ def hull_vertices(rng: DistinctRange, tol_feas: float = 1e-9) -> VertexSet:
     )
 
 
-def _simplex_cover(
-    points, pts, tol_feas: float, tie_tol: float, draws: Callable[[], np.random.Generator]
-):
+def _simplex_cover(points, pts, tol_feas: float, tie_tol: float, draws):
     """Which rows of ``points`` lie in the simplex of some ``r`` rows of
     ``pts``, the weights of those covered on the rows of ``pts``, and
     directions that separate some of the others from the hull of ``pts``.
@@ -377,7 +369,7 @@ def _certify(scores, w, tie_tol: float):
     return winners, (runner_up == -np.inf) | (top - runner_up > 2.0 * tie_tol * norm)
 
 
-def segment_vertices(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> VertexSet:
+def segment_vertices(table: BasicFunctionTable, tol_dedup: float = Tolerances.dedup) -> VertexSet:
     """Two-row fast path: the hull is the segment between the values with
     minimum and maximum first coordinate (minimum first)."""
     if table.r != 2:
@@ -396,7 +388,7 @@ def segment_vertices(table: BasicFunctionTable, tol_dedup: float = 1e-9) -> Vert
     )
 
 
-def reorder_vertices(vs: VertexSet, tol_rank: float = 1e-9) -> VertexSet:
+def reorder_vertices(vs: VertexSet, tol_rank: float = Tolerances.rank) -> VertexSet:
     """Move span-growing vertices to the front, first wins; the rest keep
     their relative order. Afterwards the first ``r`` vertices are linearly
     independent."""

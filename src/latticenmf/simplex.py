@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SimplexCheckError, SimplexStalledError
-from .linalg import as_matrix
+from .linalg import Tolerances, as_matrix
 
 # How a problem of a stack ended; the last four are faults.
 FEASIBLE, INFEASIBLE, NO_PIVOT_ROW, ITERATION_LIMIT, NEGATIVE_ENTRY, MISSED_EQUATIONS = range(6)
@@ -88,7 +88,9 @@ class StackResult:
             raise error(message.format(self.detail[p]))
 
 
-def solve_stack(a, b, tol_feas: float = 1e-9, max_iterations: int | None = None) -> StackResult:
+def solve_stack(
+    a, b, tol_feas: float = Tolerances.feas, max_iterations: int | None = None
+) -> StackResult:
     """Phase one for the systems ``a[p] @ x == b[p]``, ``x >= 0``.
 
     ``a`` is P x k x q and ``b`` is P x k; entries must be finite. Each
@@ -235,7 +237,7 @@ def _solution_faults(a, b, x, a_scale, b_scale, tol_feas: float):
 
 def phase_one_feasible(
     problem: FeasibilityProblem,
-    tol_feas: float = 1e-9,
+    tol_feas: float = Tolerances.feas,
     max_iterations: int | None = None,
 ) -> FeasibilityResult:
     """Minimize the total artificial infeasibility of the equality system.
@@ -275,7 +277,7 @@ def _hull_system(points, pts):
     return a, np.column_stack([points, np.ones(len(points))])
 
 
-def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
+def convex_combination(point, pts, tol_feas: float = Tolerances.feas) -> FeasibilityResult:
     """Phase one for writing ``point`` as a convex combination of the rows
     of ``pts``: weights ``x >= 0`` with ``x @ pts == point`` and unit total.
 
@@ -287,7 +289,7 @@ def convex_combination(point, pts, tol_feas: float = 1e-9) -> FeasibilityResult:
     return phase_one_feasible(FeasibilityProblem(a, b[0]), tol_feas)
 
 
-def convex_combinations(points, pts, tol_feas: float = 1e-9) -> StackResult:
+def convex_combinations(points, pts, tol_feas: float = Tolerances.feas) -> StackResult:
     """``convex_combination`` for every row of ``points`` in one stacked
     solve, all against the rows of ``pts``."""
     a, b = _hull_system(points, pts)
@@ -295,7 +297,7 @@ def convex_combinations(points, pts, tol_feas: float = 1e-9) -> StackResult:
     return solve_stack(a, b, tol_feas)
 
 
-def is_extreme_point(p, others, tol_feas: float = 1e-9) -> bool:
+def is_extreme_point(p, others, tol_feas: float = Tolerances.feas) -> bool:
     """Whether ``p`` is an extreme point of the finite set ``{p} | others``.
 
     Reduces to phase-one feasibility of writing ``p`` as a convex

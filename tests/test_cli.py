@@ -157,6 +157,18 @@ def test_zero_columns_are_reported(tmp_path):
     assert np.array_equal(v[:, 1], np.zeros(v.shape[0]))
 
 
+def test_a_column_nonzero_only_in_dependent_rows_is_dropped(tmp_path):
+    # Column 2 is zero in the basic rows 1 and 3; row 2 is twice row 1 up to
+    # an entry within the rank tolerance there.
+    a = np.array([[1, 0, 1, 2], [2, 1e-12, 2, 4], [0, 0, 1, 1]], dtype=float)
+    source = _write_csv(tmp_path / "a.csv", a)
+    out = tmp_path / "out"
+    assert run([str(source), "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["dropped_zero_columns"] == [2]
+    assert report["p"] == 2
+
+
 def test_unknown_flag_exits_one(tmp_path, capsys):
     source = _write_csv(tmp_path / "a.csv", NRF_5X4)
     assert run([str(source), "--bogus"]) == 1

@@ -307,6 +307,19 @@ class TestFactorizeEdges:
         with pytest.raises(ZeroMatrixError):
             factorize(np.zeros((3, 3)))
 
+    def test_a_column_nonzero_only_in_dependent_rows_is_dropped(self):
+        # Row 1 is twice row 0 up to 1e-12 in column 1, within the rank
+        # tolerance, so the basic rows are 0 and 2 and column 1 is zero in
+        # them. Its one entry, 1e-12, is then its residual.
+        a = np.array([[1, 0, 1, 2], [2, 1e-12, 2, 4], [0, 0, 1, 1]], dtype=float)
+        result = factorize(a)
+        assert result.basic_rows == (0, 2)
+        assert result.p == 2
+        assert result.mask.dropped_columns == (1,)
+        assert result.warnings == ()
+        assert result.residual_inf == 1e-12
+        assert result.residual_inf <= 1e-8 * (1.0 + a.max())
+
     def test_one_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match=r"A must be 2-D, got shape \(3,\)"):
             factorize(np.array([1.0, 2.0, 3.0]))
